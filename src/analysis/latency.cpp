@@ -18,11 +18,10 @@ LatencyReport analyze_latency(const topology::Topology& /*topo*/,
   LatencyReport report;
   std::vector<std::vector<double>> per_site(deployment.sites.size());
   std::vector<double> all;
-  all.reserve(round.rtt_ms.size());
+  all.reserve(round.map.mapped_blocks());
   double weighted_sum = 0.0, weight_total = 0.0;
-  for (const auto& [block, rtt] : round.rtt_ms) {
-    const anycast::SiteId site = round.map.site_of(block);
-    if (site < 0) continue;
+  for (const auto& [block, site] : round.map.entries()) {
+    const double rtt = round.map.rtt_of(block);
     per_site[static_cast<std::size_t>(site)].push_back(rtt);
     all.push_back(rtt);
     const double queries = load.daily_queries(block);
@@ -58,14 +57,14 @@ std::vector<PlacementCandidate> recommend_sites(
     double weight = 1.0;  // load weight; 1 block minimum
   };
   std::vector<BlockSample> samples;
-  samples.reserve(round.rtt_ms.size());
+  samples.reserve(round.map.mapped_blocks());
   double total_weight = 0.0;
-  for (const auto& [block, rtt] : round.rtt_ms) {
+  for (const auto& [block, site] : round.map.entries()) {
     const auto geo_record = topo.geodb().lookup(block);
     if (!geo_record) continue;
     BlockSample sample;
     sample.location = geo_record->location;
-    sample.rtt = rtt;
+    sample.rtt = round.map.rtt_of(block);
     sample.weight = std::max(load.daily_queries(block), 1.0);
     total_weight += sample.weight;
     samples.push_back(sample);

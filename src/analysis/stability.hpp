@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -62,7 +63,7 @@ class StabilityAccumulator {
   };
 
   const topology::Topology* topo_;
-  std::unordered_map<net::Block24, anycast::SiteId> previous_;
+  core::CatchmentMap previous_;  // the last round's map
   bool have_previous_ = false;
   std::unordered_map<std::uint32_t, AsAccumulator> per_as_;  // by ASN
   StabilityReport report_;

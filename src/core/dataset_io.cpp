@@ -1,6 +1,5 @@
 #include "core/dataset_io.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -89,26 +88,16 @@ void append_general(std::string& out, double v, int precision) {
 void build_catchment_csv(std::string& out, const RoundResult& round,
                          const anycast::Deployment& deployment) {
   out += "block,site,rtt_ms\n";
-  // Deterministic order: sort by block index.
-  std::vector<net::Block24> blocks;
-  blocks.reserve(round.map.entries().size());
-  for (const auto& [block, site] : round.map.entries())
-    blocks.push_back(block);
-  std::sort(blocks.begin(), blocks.end());
+  // The map iterates in ascending block order, which is the file order.
   // ~27 bytes/row ("255.255.255.0/24,XXX,12.34\n"); headroom avoids the
   // doubling regrows on the big half of the fill.
-  out.reserve(out.size() + blocks.size() * 28);
-  for (const net::Block24 block : blocks) {
-    const anycast::SiteId site = round.map.site_of(block);
-    const auto rtt = round.rtt_ms.find(block);
+  out.reserve(out.size() + round.map.mapped_blocks() * 28);
+  for (const auto& [block, site] : round.map.entries()) {
     append_block(out, block);
     out.push_back(',');
     out += deployment.sites[static_cast<std::size_t>(site)].code;
     out.push_back(',');
-    append_fixed(out,
-                 rtt == round.rtt_ms.end() ? 0.0
-                                           : static_cast<double>(rtt->second),
-                 2);
+    append_fixed(out, static_cast<double>(round.map.rtt_of(block)), 2);
     out.push_back('\n');
   }
 }
@@ -154,9 +143,9 @@ std::optional<RoundResult> read_catchment_csv(
     const auto rtt = parse_double(fields[2]);
     if (!rtt || *rtt < 0) return std::nullopt;
     const net::Block24 block{prefix->base().value() >> 8};
-    if (round.map.contains(block)) return std::nullopt;  // duplicate row
-    round.map.set(block, *site);
-    round.rtt_ms.emplace(block, static_cast<float>(*rtt));
+    // A second row for a block is a duplicate: reject.
+    if (!round.map.set(block, *site, static_cast<float>(*rtt)))
+      return std::nullopt;
   }
   return round;
 }

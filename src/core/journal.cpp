@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
@@ -23,8 +24,9 @@ namespace {
 
 constexpr std::uint8_t kManifestType = 1;
 constexpr std::uint8_t kRoundType = 2;
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kFrameHeader = 8;  // payload_len:u32 + crc:u32
+constexpr std::size_t kMapRow = 9;       // block:u32 + site:u8 + rtt:f32
 
 // ---- little-endian encode helpers -------------------------------------
 
@@ -117,23 +119,15 @@ void encode_result(std::string& out, const RoundResult& result) {
     put_u64(out, v);
   put_u32(out, static_cast<std::uint32_t>(result.raw_replies_per_site.size()));
   for (const std::uint64_t v : result.raw_replies_per_site) put_u64(out, v);
-  // Map and RTT entries in hash-map iteration order, deliberately NOT
-  // sorted: a record only has to decode back to an equal RoundResult
-  // (consumers that need an order — the CSV writer — sort at output
-  // time), and at ~30k entries per round sorting here would cost more
-  // than the append's write+fsync, dominating the journaling overhead
-  // bench_journal keeps under 5%.
-  out.reserve(out.size() + 8 + result.map.entries().size() * 5 +
-              result.rtt_ms.size() * 8);
-  put_u32(out, static_cast<std::uint32_t>(result.map.entries().size()));
+  // One (block, site, rtt) row per mapped block, strictly ascending by
+  // block: the map iterates in that order, so the record bytes depend on
+  // the result alone and never on a container's iteration order.
+  out.reserve(out.size() + 4 + result.map.mapped_blocks() * kMapRow);
+  put_u32(out, static_cast<std::uint32_t>(result.map.mapped_blocks()));
   for (const auto& [block, site] : result.map.entries()) {
     put_u32(out, block.index());
     put_u8(out, static_cast<std::uint8_t>(site));
-  }
-  put_u32(out, static_cast<std::uint32_t>(result.rtt_ms.size()));
-  for (const auto& [block, rtt] : result.rtt_ms) {
-    put_u32(out, block.index());
-    put_f32(out, rtt);
+    put_f32(out, result.map.rtt_of(block));
   }
 }
 
@@ -158,21 +152,31 @@ bool decode_result(Cursor& in, RoundResult& result) {
   result.raw_replies_per_site.resize(sites);
   for (std::uint32_t s = 0; s < sites; ++s)
     result.raw_replies_per_site[s] = in.u64();
+  // The map rows must be the exact rest of the record, strictly
+  // ascending, with every site id inside the record's own site count —
+  // consumers index the deployment's sites by it.
   const std::uint32_t mapped = in.u32();
-  if (!in.ok || mapped > 1u << 24) return false;
-  for (std::uint32_t i = 0; i < mapped; ++i) {
-    const net::Block24 block{in.u32()};
-    const auto site = static_cast<anycast::SiteId>(in.u8());
-    if (!in.ok) return false;
-    result.map.set(block, site);
+  if (!in.ok || mapped > 1u << 24 || in.left != mapped * kMapRow) return false;
+  if (mapped > 0) {
+    // Rows are fixed-width, so the last block is known up front: size
+    // the span once instead of regrowing it row by row.
+    Cursor last{std::string_view{
+        reinterpret_cast<const char*>(in.p) + (mapped - 1) * kMapRow, 4}};
+    Cursor first{std::string_view{reinterpret_cast<const char*>(in.p), 4}};
+    result.map.cover(net::Block24{first.u32()}, net::Block24{last.u32()});
   }
-  const std::uint32_t rtts = in.u32();
-  if (!in.ok || rtts > 1u << 24) return false;
-  for (std::uint32_t i = 0; i < rtts; ++i) {
-    const net::Block24 block{in.u32()};
+  std::uint64_t previous = 0;  // block index + 1 of the row before
+  for (std::uint32_t i = 0; i < mapped; ++i) {
+    const std::uint32_t index = in.u32();
+    const std::uint8_t site = in.u8();
     const float rtt = in.f32();
-    if (!in.ok) return false;
-    result.rtt_ms.emplace(block, rtt);
+    if (!in.ok || index > 0xffffff || index + std::uint64_t{1} <= previous ||
+        site >= sites || site > std::numeric_limits<anycast::SiteId>::max()) {
+      return false;
+    }
+    previous = index + std::uint64_t{1};
+    result.map.set(net::Block24{index}, static_cast<anycast::SiteId>(site),
+                   rtt);
   }
   return in.ok && in.left == 0;
 }

@@ -19,7 +19,9 @@
 // everything that determines results: probe config (order seed, rate,
 // cutoff, retries, ...), round count, interval, threads, the fault plan,
 // and a deployment hash. Round bodies carry the round id plus the full
-// serialized RoundResult — rounds complete out of order under
+// serialized RoundResult, its map as (block, site, rtt) rows strictly
+// ascending by block (format version 2; DESIGN.md §10 has the layout and
+// what the decoder refuses) — rounds complete out of order under
 // Campaign::concurrency(), so resume takes the *set* of journaled round
 // ids, never a high-water mark.
 //

@@ -86,7 +86,6 @@ struct EngineWorkspace {
   std::vector<std::uint64_t> offset;  // extra-targets mode only
   std::vector<ShardWs> shards;
   std::vector<std::uint32_t> addr_by_block;  // block off -> probed address
-  std::vector<std::uint64_t> mapped_bits;    // first-reply-wins bitmap
   std::vector<std::uint32_t> sorted_addresses;  // extra-targets mode only
   std::vector<CleanRecord> merged;
   std::vector<float> kept_rtts;
@@ -216,9 +215,9 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
   }
 
   // Block span of the hitlist: backs the direct-mapped probed-address
-  // table (one slot per /24) and the first-reply-wins bitmap, replacing
-  // the per-round hash sets. Every probed address lies inside its
-  // entry's block, so the span covers all of them.
+  // table (one slot per /24) and the result's dense catchment map, whose
+  // site array doubles as the first-reply-wins set. Every probed address
+  // lies inside its entry's block, so the span covers all of them.
   std::uint32_t block_lo = 0;
   std::size_t block_span = 0;
   if (!order.empty()) {
@@ -580,8 +579,6 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
       spec.start + util::SimTime::from_minutes(config.late_cutoff_minutes);
   util::arena_reserve(ws.kept_rtts, order.size(), *arena);
   ws.kept_rtts.clear();
-  util::arena_reserve(ws.mapped_bits, (block_span + 63) / 64, *arena);
-  ws.mapped_bits.assign((block_span + 63) / 64, 0);
   if (multi_target) {
     // Fallback probed-address index: concatenate the shards' (disjoint)
     // address lists and binary-search. The direct map can't be used — a
@@ -594,8 +591,13 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
                                  ws.shards[s].probed_addresses.end());
     std::sort(ws.sorted_addresses.begin(), ws.sorted_addresses.end());
   }
-  result.map.reserve(order.size());
-  result.rtt_ms.reserve(order.size());
+  // The result outlives the round, so its map owns plain vectors rather
+  // than arena slots; pre-sizing it to the span means no write regrows.
+  if (block_span > 0) {
+    result.map.cover(net::Block24{block_lo},
+                     net::Block24{block_lo + static_cast<std::uint32_t>(
+                                                 block_span - 1)});
+  }
   for (const CleanRecord& record : ws.merged) {
     if (record.measurement_id != config.measurement_id) {
       ++stats.wrong_id;
@@ -616,20 +618,18 @@ RoundResult ProbeEngine::run(const bgp::RoutingTable& routes,
       ++stats.unsolicited;
       continue;
     }
-    const std::uint64_t bit = std::uint64_t{1} << (off & 63);
-    if ((ws.mapped_bits[off >> 6] & bit) != 0) {
+    const float rtt =
+        static_cast<float>(record.arrival_usec - record.tx_usec) / 1000.0f;
+    if (!result.map.set(block, record.site, rtt)) {
       ++stats.duplicates;
       continue;
     }
-    ws.mapped_bits[off >> 6] |= bit;
-    const float rtt =
-        static_cast<float>(record.arrival_usec - record.tx_usec) / 1000.0f;
-    result.map.set(block, record.site);
-    result.rtt_ms.emplace(block, rtt);
     ws.kept_rtts.push_back(rtt);
-    em.rtt_ms.observe(rtt);
     ++stats.kept;
   }
+  // One publish for the round's RTTs instead of an atomic round-trip per
+  // kept reply (same buckets, count, sum, min and max).
+  em.rtt_ms.observe_all(ws.kept_rtts);
   em.rounds.add();
   const double wall_ms = round_span.stop();
   if (observer != nullptr) {

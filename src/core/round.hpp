@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/catchment.hpp"
@@ -82,14 +81,12 @@ struct RoundSpec {
   util::RoundArena* arena = nullptr;
 };
 
-/// Outcome of one round: the cleaned catchment map plus the raw per-site
-/// reply volumes (used by the traffic-cost accounting) and the measured
-/// round-trip time per mapped block (paper §7 suggests using these RTTs
-/// to decide where new anycast sites would help; see analysis/latency).
+/// Outcome of one round: the cleaned catchment map (with each mapped
+/// block's measured RTT, `map.rtt_of`) plus the raw per-site reply
+/// volumes (used by the traffic-cost accounting).
 struct RoundResult {
   CatchmentMap map;
   std::vector<std::uint64_t> raw_replies_per_site;
-  std::unordered_map<net::Block24, float> rtt_ms;  // kept replies only
   util::SimTime started;
   util::SimTime probing_duration;  // time to emit all probes at rate_pps
   /// Injected-fault and retry accounting; all-zero when the round ran

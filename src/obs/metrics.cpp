@@ -47,20 +47,54 @@ void Histogram::observe(double v) noexcept {
   const std::uint64_t n =
       count_.fetch_add(1, std::memory_order_relaxed) + 1;
   sum_.fetch_add(v, std::memory_order_relaxed);
-  if (n == 1) {
-    // First observation seeds min/max; racing first observers fall
+  merge_extremes(v, v, n == 1);
+}
+
+void Histogram::merge_extremes(double lo, double hi, bool first) noexcept {
+  if (first) {
+    // The first observation seeds min/max; racing first observers fall
     // through to the CAS loops below, so no update is lost.
-    min_.store(v, std::memory_order_relaxed);
-    max_.store(v, std::memory_order_relaxed);
+    min_.store(lo, std::memory_order_relaxed);
+    max_.store(hi, std::memory_order_relaxed);
   }
   double seen = min_.load(std::memory_order_relaxed);
-  while (v < seen &&
-         !min_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  while (lo < seen &&
+         !min_.compare_exchange_weak(seen, lo, std::memory_order_relaxed)) {
   }
   seen = max_.load(std::memory_order_relaxed);
-  while (v > seen &&
-         !max_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  while (hi > seen &&
+         !max_.compare_exchange_weak(seen, hi, std::memory_order_relaxed)) {
   }
+}
+
+void Histogram::observe_all(std::span<const float> values) {
+  if (!enabled_->load(std::memory_order_relaxed) || values.empty()) return;
+  std::vector<std::uint64_t> buckets(bounds_.size() + 1, 0);
+  std::uint64_t count = 0, nans = 0;
+  double sum = 0.0, lo = 0.0, hi = 0.0;
+  for (const float f : values) {
+    const double v = f;
+    if (std::isnan(v)) {
+      ++nans;
+      continue;
+    }
+    ++buckets[static_cast<std::size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), v) -
+        bounds_.begin())];
+    sum += v;
+    lo = count == 0 ? v : std::min(lo, v);
+    hi = count == 0 ? v : std::max(hi, v);
+    ++count;
+  }
+  if (nans > 0) nan_rejected_.fetch_add(nans, std::memory_order_relaxed);
+  if (count == 0) return;
+  for (std::size_t i = 0; i < buckets.size(); ++i)
+    if (buckets[i] != 0)
+      buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+  const std::uint64_t before =
+      count_.fetch_add(count, std::memory_order_relaxed);
+  sum_.fetch_add(sum, std::memory_order_relaxed);
+  merge_extremes(lo, hi, before == 0);
 }
 
 void Histogram::reset() noexcept {

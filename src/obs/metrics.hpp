@@ -22,8 +22,9 @@
 //    fetch_add on a per-thread stripe — no sharing between probe
 //    workers, so the per-probe hot path stays in the low nanoseconds;
 //  * Histogram::observe is a branch, a bounds scan, and two relaxed
-//    atomic RMWs — keep it off the per-probe path (the engine observes
-//    RTTs once per kept reply, during the serial cleaning pass).
+//    atomic RMWs — keep it off the per-probe path. For a batch, tally
+//    locally and publish once with observe_all (the engine publishes a
+//    round's kept-reply RTTs that way after its serial cleaning pass).
 //
 // Naming scheme (DESIGN.md §11): vp_<subsystem>_<what>[_total|_ms],
 // with optional Prometheus-style labels embedded in the name, e.g.
@@ -114,6 +115,10 @@ class Histogram {
   Histogram(const std::atomic<bool>* enabled, std::span<const double> bounds);
 
   void observe(double v) noexcept;
+  /// Observes every value in input order, tallying buckets, count, sum,
+  /// min, max and NaNs locally and publishing them once: the same
+  /// snapshot as one observe() per value on an empty histogram.
+  void observe_all(std::span<const float> values);
 
   std::uint64_t count() const noexcept {
     return count_.load(std::memory_order_relaxed);
@@ -133,6 +138,9 @@ class Histogram {
   void reset() noexcept;
 
  private:
+  /// Folds [lo, hi] into min/max; `first` = these are the first values.
+  void merge_extremes(double lo, double hi, bool first) noexcept;
+
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};

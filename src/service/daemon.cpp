@@ -1,5 +1,6 @@
 #include "service/daemon.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
@@ -553,9 +554,16 @@ net::HttpResponse Daemon::handle_load(const net::HttpRequest& request) {
   }
 
   // Predicted catchment over the querying blocks under that table, then
-  // the paper's §5.4 load split.
+  // the paper's §5.4 load split. The load blocks follow the topology's
+  // sorted block run, so their ends bound the map's span.
   core::CatchmentMap predicted;
-  for (const dnsload::BlockLoad& entry : load_.blocks()) {
+  const auto load_blocks = load_.blocks();
+  if (!load_blocks.empty()) {
+    predicted.cover(
+        std::min(load_blocks.front().block, load_blocks.back().block),
+        std::max(load_blocks.front().block, load_blocks.back().block));
+  }
+  for (const dnsload::BlockLoad& entry : load_blocks) {
     const anycast::SiteId site = table->site_for_block(entry.block);
     if (site != anycast::kUnknownSite) predicted.set(entry.block, site);
   }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "analysis/scenario.hpp"
 #include "core/campaign.hpp"
 #include "core/verfploeter.hpp"
@@ -187,11 +191,10 @@ TEST_F(CoreTest, ConcurrentCampaignMatchesSequentialInRoundOrder) {
                 sequential[r].map.cleaning.kept);
       EXPECT_EQ(concurrent[r].raw_replies_per_site,
                 sequential[r].raw_replies_per_site);
-      for (const auto& [block, site] : sequential[r].map.entries())
+      for (const auto& [block, site] : sequential[r].map.entries()) {
         EXPECT_EQ(concurrent[r].map.site_of(block), site);
-      for (const auto& [block, rtt] : sequential[r].rtt_ms) {
-        ASSERT_TRUE(concurrent[r].rtt_ms.count(block));
-        EXPECT_EQ(concurrent[r].rtt_ms.at(block), rtt);
+        EXPECT_EQ(concurrent[r].map.rtt_of(block),
+                  sequential[r].map.rtt_of(block));
       }
     }
   }
@@ -239,6 +242,117 @@ TEST(CatchmentMap, SiteOfUnknownBlock) {
   // First write wins (duplicate replies never overwrite).
   map.set(net::Block24{1}, 1);
   EXPECT_EQ(map.site_of(net::Block24{1}), 0);
+}
+
+// ---- the dense block-indexed map -----------------------------------------
+
+using Pair = std::pair<net::Block24, anycast::SiteId>;
+
+std::vector<Pair> pairs_of(const CatchmentMap& map) {
+  return {map.entries().begin(), map.entries().end()};
+}
+
+TEST(CatchmentMap, IteratesMappedBlocksInAscendingOrder) {
+  CatchmentMap map;
+  map.cover(net::Block24{100}, net::Block24{199});
+  for (const std::uint32_t b : {150u, 100u, 199u, 120u})
+    map.set(net::Block24{b}, static_cast<anycast::SiteId>(b % 3));
+  EXPECT_EQ(pairs_of(map),
+            (std::vector<Pair>{{net::Block24{100}, 1},
+                               {net::Block24{120}, 0},
+                               {net::Block24{150}, 0},
+                               {net::Block24{199}, 1}}));
+  EXPECT_EQ(map.mapped_blocks(), 4u);
+  EXPECT_EQ(map.entries().size(), 4u);
+  EXPECT_TRUE(pairs_of(CatchmentMap{}).empty());
+}
+
+TEST(CatchmentMap, FirstWriteWinsForSiteAndRtt) {
+  CatchmentMap map;
+  EXPECT_TRUE(map.set(net::Block24{7}, 2, 31.5f));
+  EXPECT_FALSE(map.set(net::Block24{7}, 1, 99.0f));
+  EXPECT_EQ(map.site_of(net::Block24{7}), 2);
+  EXPECT_EQ(map.rtt_of(net::Block24{7}), 31.5f);
+  EXPECT_EQ(map.mapped_blocks(), 1u);
+  // An unknown site is no mapping at all.
+  EXPECT_FALSE(map.set(net::Block24{8}, anycast::kUnknownSite, 1.0f));
+  EXPECT_FALSE(map.contains(net::Block24{8}));
+  EXPECT_EQ(map.mapped_blocks(), 1u);
+}
+
+TEST(CatchmentMap, LookupsOutsideTheSpanAreUnmapped) {
+  CatchmentMap map;
+  map.cover(net::Block24{1000}, net::Block24{1009});
+  map.set(net::Block24{1000}, 0, 5.0f);
+  map.set(net::Block24{1009}, 1, 6.0f);
+  for (const std::uint32_t b : {0u, 999u, 1005u, 1010u, 0xffffffu}) {
+    EXPECT_EQ(map.site_of(net::Block24{b}), anycast::kUnknownSite) << b;
+    EXPECT_EQ(map.rtt_of(net::Block24{b}), 0.0f) << b;
+    EXPECT_FALSE(map.contains(net::Block24{b})) << b;
+  }
+  EXPECT_EQ(map.rtt_of(net::Block24{1000}), 5.0f);
+  EXPECT_EQ(map.rtt_of(net::Block24{1009}), 6.0f);
+}
+
+TEST(CatchmentMap, WritesOutsideTheSpanGrowItBothWays) {
+  CatchmentMap map;
+  map.cover(net::Block24{5000}, net::Block24{5003});
+  map.set(net::Block24{5001}, 0, 1.0f);
+  map.set(net::Block24{4000}, 1, 2.0f);      // below the base
+  map.set(net::Block24{9000}, 2, 3.0f);      // past the end
+  map.set(net::Block24{0}, 3, 4.0f);         // the first block
+  map.set(net::Block24{0xffffff}, 4, 5.0f);  // the last block
+  EXPECT_EQ(pairs_of(map), (std::vector<Pair>{{net::Block24{0}, 3},
+                                              {net::Block24{4000}, 1},
+                                              {net::Block24{5001}, 0},
+                                              {net::Block24{9000}, 2},
+                                              {net::Block24{0xffffff}, 4}}));
+  EXPECT_EQ(map.rtt_of(net::Block24{5001}), 1.0f);
+  EXPECT_EQ(map.rtt_of(net::Block24{4000}), 2.0f);
+  EXPECT_EQ(map.rtt_of(net::Block24{9000}), 3.0f);
+  EXPECT_EQ(map.rtt_of(net::Block24{0}), 4.0f);
+  EXPECT_EQ(map.rtt_of(net::Block24{0xffffff}), 5.0f);
+  EXPECT_EQ(map.site_of(net::Block24{5000}), anycast::kUnknownSite);
+  EXPECT_EQ(map.mapped_blocks(), 5u);
+  // A descending run regrows from the first write alone.
+  CatchmentMap down;
+  for (std::uint32_t b = 300; b-- > 200;)
+    down.set(net::Block24{b}, static_cast<anycast::SiteId>(b % 2));
+  EXPECT_EQ(down.mapped_blocks(), 100u);
+  EXPECT_EQ(pairs_of(down).front(), (Pair{net::Block24{200}, 0}));
+  EXPECT_EQ(pairs_of(down).back(), (Pair{net::Block24{299}, 1}));
+}
+
+TEST(CatchmentMap, PerSiteCountsAndFractions) {
+  CatchmentMap map;
+  EXPECT_EQ(map.fraction_to(0), 0.0);
+  for (std::uint32_t b = 0; b < 10; ++b)
+    map.set(net::Block24{0x010000 + 3 * b},
+            static_cast<anycast::SiteId>(b < 6 ? 0 : (b < 9 ? 1 : 3)));
+  EXPECT_EQ(map.per_site_counts(3), (std::vector<std::uint64_t>{6, 3, 0}));
+  EXPECT_EQ(map.per_site_counts(4), (std::vector<std::uint64_t>{6, 3, 0, 1}));
+  EXPECT_DOUBLE_EQ(map.fraction_to(0), 0.6);
+  EXPECT_DOUBLE_EQ(map.fraction_to(1), 0.3);
+  EXPECT_DOUBLE_EQ(map.fraction_to(2), 0.0);
+  EXPECT_DOUBLE_EQ(map.fraction_to(anycast::kUnknownSite), 0.0);
+}
+
+TEST(CatchmentMap, EqualityIsLogicalNotBySpan) {
+  CatchmentMap narrow, wide;
+  wide.cover(net::Block24{0}, net::Block24{1 << 20});
+  for (CatchmentMap* map : {&narrow, &wide}) {
+    map->set(net::Block24{4242}, 1, 7.0f);
+    map->set(net::Block24{4243}, 0, 8.0f);
+  }
+  EXPECT_EQ(narrow.entries(), wide.entries());
+  wide.set(net::Block24{5}, 0);
+  EXPECT_FALSE(narrow.entries() == wide.entries());
+  narrow.set(net::Block24{5}, 1);  // same block, other site
+  EXPECT_FALSE(narrow.entries() == wide.entries());
+  // Copies compare equal to their source.
+  const CatchmentMap copy = wide;
+  EXPECT_EQ(copy.entries(), wide.entries());
+  EXPECT_EQ(copy.rtt_of(net::Block24{4243}), 8.0f);
 }
 
 }  // namespace

@@ -90,7 +90,8 @@ void expect_identical(const RoundResult& a, const RoundResult& b,
   EXPECT_EQ(a.map.cleaning.late, b.map.cleaning.late) << label;
   EXPECT_EQ(a.map.cleaning.kept, b.map.cleaning.kept) << label;
   EXPECT_EQ(a.raw_replies_per_site, b.raw_replies_per_site) << label;
-  EXPECT_EQ(a.rtt_ms, b.rtt_ms) << label;
+  for (const auto& [block, site] : a.map.entries())
+    EXPECT_EQ(a.map.rtt_of(block), b.map.rtt_of(block)) << label;
   // Fault accounting must be as deterministic as the map itself.
   EXPECT_EQ(a.faults.probes_lost, b.faults.probes_lost) << label;
   EXPECT_EQ(a.faults.replies_generated, b.faults.replies_generated) << label;

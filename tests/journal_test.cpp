@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -41,9 +42,8 @@ RoundResult synthetic_round(std::uint32_t r) {
   result.map.probes_sent = 1000 + r;
   result.map.blocks_probed = 990;
   result.map.cleaning = {900 + r, 1, 2, 3, 4, 5, 880};
-  result.map.set(net::Block24{0x010200 + r}, 0);
+  result.map.set(net::Block24{0x010200 + r}, 0, 12.5f + r);
   result.map.set(net::Block24{0x020300 + r}, 1);
-  result.rtt_ms.emplace(net::Block24{0x010200 + r}, 12.5f + r);
   result.raw_replies_per_site = {400 + r, 500};
   result.started = util::SimTime::from_minutes(15.0 * r);
   result.probing_duration = util::SimTime::from_seconds(8.0);
@@ -58,14 +58,9 @@ void expect_equal(const RoundResult& a, const RoundResult& b) {
   EXPECT_EQ(a.map.blocks_probed, b.map.blocks_probed);
   EXPECT_EQ(a.map.cleaning.raw_replies, b.map.cleaning.raw_replies);
   EXPECT_EQ(a.map.cleaning.kept, b.map.cleaning.kept);
-  EXPECT_EQ(a.map.entries().size(), b.map.entries().size());
+  EXPECT_EQ(a.map.entries(), b.map.entries());
   for (const auto& [block, site] : a.map.entries())
-    EXPECT_EQ(b.map.site_of(block), site);
-  EXPECT_EQ(a.rtt_ms.size(), b.rtt_ms.size());
-  for (const auto& [block, rtt] : a.rtt_ms) {
-    ASSERT_TRUE(b.rtt_ms.count(block));
-    EXPECT_EQ(b.rtt_ms.at(block), rtt);
-  }
+    EXPECT_EQ(b.map.rtt_of(block), a.map.rtt_of(block));
   EXPECT_EQ(a.raw_replies_per_site, b.raw_replies_per_site);
   EXPECT_EQ(a.started.usec, b.started.usec);
   EXPECT_EQ(a.probing_duration.usec, b.probing_duration.usec);
@@ -223,6 +218,93 @@ TEST(Journal, RoundIdBeyondManifestIsCorrupt) {
   CampaignJournal journal;
   EXPECT_EQ(journal.open(path, kManifest, true).status,
             JournalStatus::kCorrupt);
+  std::remove(path.c_str());
+}
+
+// ---- record format v2: map rows ---------------------------------------
+//
+// A round record ends with u32 row count, then (block u32, site u8,
+// rtt f32) rows strictly ascending by block. The cases below rewrite
+// those rows in an honestly encoded record and re-frame it, so the CRC
+// is valid and only the decoder's own checks stand between the bytes and
+// the consumers that index deployment.sites by the site id.
+
+constexpr std::size_t kRow = 9;
+
+/// Status of resuming a journal whose one round record is `payload`.
+JournalStatus resume_status(const char* tag, const std::string& payload) {
+  const std::string path = temp_path(tag);
+  const std::string data =
+      CampaignJournal::frame(CampaignJournal::encode_manifest(kManifest)) +
+      CampaignJournal::frame(payload);
+  write_file(path, data);
+  CampaignJournal journal;
+  const JournalStatus status = journal.open(path, kManifest, true).status;
+  journal.close();
+  // A refusal leaves the file as it was.
+  if (status == JournalStatus::kCorrupt) {
+    EXPECT_EQ(read_file(path), data);
+  }
+  std::remove(path.c_str());
+  return status;
+}
+
+/// synthetic_round(0)'s record, whose two rows (sites 0 and 1 of the
+/// record's 2) are its last 2 * kRow bytes.
+std::string two_row_record() {
+  return CampaignJournal::encode_round(0, synthetic_round(0));
+}
+
+TEST(Journal, V2RecordRowsAreAscendingWithRtts) {
+  const std::string payload = two_row_record();
+  ASSERT_EQ(resume_status("v2ok", payload), JournalStatus::kResumed);
+  const std::string rows = payload.substr(payload.size() - 2 * kRow);
+  // Block 0x010200 (site 0, 12.5 ms) before block 0x020300 (site 1).
+  EXPECT_EQ(rows.substr(0, 5), std::string("\x00\x02\x01\x00\x00", 5));
+  EXPECT_EQ(rows.substr(kRow, 5), std::string("\x00\x03\x02\x00\x01", 5));
+  float rtt = 0.0f;
+  std::memcpy(&rtt, rows.data() + 5, sizeof rtt);
+  EXPECT_EQ(rtt, 12.5f);
+}
+
+TEST(Journal, SiteIdBeyondTheRecordsSiteCountIsCorrupt) {
+  std::string payload = two_row_record();
+  payload[payload.size() - kRow + 4] = 2;  // the record has 2 sites
+  EXPECT_EQ(resume_status("badsite", payload), JournalStatus::kCorrupt);
+}
+
+TEST(Journal, DescendingRowsAreCorrupt) {
+  std::string payload = two_row_record();
+  const std::size_t rows = payload.size() - 2 * kRow;
+  const std::string first = payload.substr(rows, kRow);
+  payload.replace(rows, kRow, payload.substr(rows + kRow, kRow));
+  payload.replace(rows + kRow, kRow, first);
+  EXPECT_EQ(resume_status("descending", payload), JournalStatus::kCorrupt);
+}
+
+TEST(Journal, DuplicateBlockRowsAreCorrupt) {
+  std::string payload = two_row_record();
+  const std::size_t rows = payload.size() - 2 * kRow;
+  payload.replace(rows + kRow, 4, payload.substr(rows, 4));  // same block
+  EXPECT_EQ(resume_status("duplicate", payload), JournalStatus::kCorrupt);
+}
+
+TEST(Journal, VersionOneJournalIsRefused) {
+  // The manifest's version field (bytes 1-4 of its payload) gates the
+  // record format: a v1 journal — map and RTT sections in hash order —
+  // is refused as a whole rather than misread as v2 rows.
+  std::string manifest = CampaignJournal::encode_manifest(kManifest);
+  ASSERT_EQ(manifest[1], 2);
+  manifest[1] = 1;
+  const std::string path = temp_path("v1");
+  const std::string data = CampaignJournal::frame(manifest) +
+                           CampaignJournal::frame(two_row_record());
+  write_file(path, data);
+  CampaignJournal journal;
+  EXPECT_EQ(journal.open(path, kManifest, true).status,
+            JournalStatus::kCorrupt);
+  EXPECT_FALSE(journal.is_open());
+  EXPECT_EQ(read_file(path), data);
   std::remove(path.c_str());
 }
 

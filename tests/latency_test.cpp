@@ -44,11 +44,11 @@ core::RoundResult* LatencyTest::round_ = nullptr;
 dnsload::LoadModel* LatencyTest::load_ = nullptr;
 
 TEST_F(LatencyTest, EveryMappedBlockHasAnRtt) {
-  EXPECT_EQ(round().rtt_ms.size(), round().map.mapped_blocks());
-  for (const auto& [block, rtt] : round().rtt_ms) {
+  ASSERT_GT(round().map.mapped_blocks(), 0u);
+  for (const auto& [block, site] : round().map.entries()) {
+    const float rtt = round().map.rtt_of(block);
     EXPECT_GT(rtt, 0.0f);
     EXPECT_LT(rtt, 15.0f * 60.0f * 1000.0f);  // under the late cutoff
-    EXPECT_TRUE(round().map.contains(block));
   }
 }
 
@@ -56,10 +56,10 @@ TEST_F(LatencyTest, RttTracksDistanceToSite) {
   // Blocks near their serving site should be faster than far ones.
   double near_sum = 0, far_sum = 0;
   int near_n = 0, far_n = 0;
-  for (const auto& [block, rtt] : round().rtt_ms) {
+  for (const auto& [block, site] : round().map.entries()) {
+    const float rtt = round().map.rtt_of(block);
     const auto geo_record = scenario().topo().geodb().lookup(block);
     if (!geo_record) continue;
-    const auto site = round().map.site_of(block);
     const double km = geo::distance_km(
         geo_record->location,
         scenario().broot().sites[static_cast<std::size_t>(site)].location);

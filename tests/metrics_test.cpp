@@ -1,5 +1,6 @@
 // Unit tests for the obs metrics registry: counter striping, histogram
-// bucket edges (zero, max bound, overflow, NaN rejection), kind-mismatch
+// bucket edges (zero, max bound, overflow, NaN rejection), batched
+// observes matching per-value ones, kind-mismatch
 // detection, export goldens (JSON + Prometheus), and a concurrent
 // hammering test that gives TSan something to chew on.
 #include <gtest/gtest.h>
@@ -82,6 +83,67 @@ TEST(Histogram, NanRejectedNotCounted) {
   EXPECT_EQ(h.nan_rejected(), 1u);
   h.observe(0.5);
   EXPECT_EQ(h.count(), 1u);
+}
+
+/// The histogram's exported state, for whole-snapshot comparisons.
+MetricSnapshot only_metric(const MetricsRegistry& reg) {
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.metrics.size(), 1u);
+  return snap.metrics.empty() ? MetricSnapshot{} : snap.metrics[0];
+}
+
+void expect_same_snapshot(const MetricSnapshot& a, const MetricSnapshot& b) {
+  EXPECT_EQ(a.bounds, b.bounds);
+  EXPECT_EQ(a.cumulative, b.cumulative);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.nan_rejected, b.nan_rejected);
+  EXPECT_EQ(a.sum, b.sum);  // same values summed in the same order
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+}
+
+TEST(Histogram, BatchMatchesPerValueObserve) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> values = {
+      3.25f, nan, 0.0f, 1.0f, 1e8f, 0.1f, -2.5f, nan, 5.0f, 6.0f, 0.3f};
+  MetricsRegistry one_by_one, batched;
+  const std::vector<double> bounds{1, 2, 5};
+  Histogram& a = one_by_one.histogram("vp_test_ms", bounds);
+  Histogram& b = batched.histogram("vp_test_ms", bounds);
+  for (const float v : values) a.observe(v);
+  b.observe_all(values);
+  EXPECT_EQ(b.count(), 9u);
+  EXPECT_EQ(b.nan_rejected(), 2u);
+  EXPECT_EQ(b.min(), -2.5);
+  EXPECT_EQ(b.max(), 1e8);
+  expect_same_snapshot(only_metric(one_by_one), only_metric(batched));
+
+  // A second batch merges into what is there, min and max included.
+  const std::vector<float> more = {-4.0f, 0.5f, nan, 2e8f};
+  for (const float v : more) a.observe(v);
+  b.observe_all(more);
+  expect_same_snapshot(only_metric(one_by_one), only_metric(batched));
+  EXPECT_EQ(b.min(), -4.0);
+  EXPECT_EQ(b.max(), 2e8);
+}
+
+TEST(Histogram, BatchOfNansOrNothingOnlyCountsNans) {
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("vp_test_ms", std::vector<double>{1});
+  h.observe_all({});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  h.observe_all(std::vector<float>{nan, nan});
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.nan_rejected(), 2u);
+  EXPECT_EQ(h.sum(), 0.0);
+  // The first real value still seeds min and max.
+  h.observe_all(std::vector<float>{7.0f});
+  EXPECT_EQ(h.min(), 7.0);
+  EXPECT_EQ(h.max(), 7.0);
+  reg.set_enabled(false);
+  h.observe_all(std::vector<float>{1.0f, nan});
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.nan_rejected(), 2u);
 }
 
 TEST(Histogram, RejectsBadBounds) {

@@ -65,7 +65,8 @@ void expect_identical(const RoundResult& a, const RoundResult& b,
   EXPECT_EQ(a.raw_replies_per_site, b.raw_replies_per_site) << label;
   EXPECT_EQ(a.started, b.started) << label;
   EXPECT_EQ(a.probing_duration, b.probing_duration) << label;
-  EXPECT_EQ(a.rtt_ms, b.rtt_ms) << label;
+  for (const auto& [block, site] : a.map.entries())
+    EXPECT_EQ(a.map.rtt_of(block), b.map.rtt_of(block)) << label;
 }
 
 TEST_F(ProbeEngineTest, ParallelRoundIsBitIdenticalToSerial) {
