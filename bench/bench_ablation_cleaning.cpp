@@ -25,22 +25,29 @@ int main() {
   std::uint64_t raw_replies = 0;
   util::SimTime now{};
   const util::SimTime gap = util::SimTime::from_seconds(1.0 / 10'000.0);
+  std::vector<std::uint8_t> probe;
+  std::vector<std::uint8_t> reply;
+  std::vector<sim::DeliveryView> deliveries;
+  sim::DataplaneTally dataplane;
   for (const auto& entry : hitlist.entries()) {
     net::ProbePayload payload;
     payload.measurement_id = 424242;
     payload.tx_time_usec = now.usec;
     payload.original_target = entry.target;
-    const auto probe = net::build_echo_request(
-        scenario.broot().measurement_address, entry.target, 42, 1, payload);
-    for (const auto& delivery : internet.probe(routes, probe.data, now, 0)) {
+    net::build_echo_request_into(probe, scenario.broot().measurement_address,
+                                 entry.target, 42, 1, payload);
+    internet.probe_into(routes, probe, now, 0, deliveries, reply, dataplane);
+    // Every delivery of one probe carries the same reply bytes.
+    const auto parsed = net::parse_reply_view(reply);
+    for (const auto& delivery : deliveries) {
       ++raw_replies;
-      const auto parsed = net::parse_reply(delivery.packet.data);
       if (!parsed) continue;
       naive[net::Block24::containing(parsed->ip.source).index()] =
           delivery.site;  // last reply wins; no filters at all
     }
     now += gap;
   }
+  sim::InternetSim::flush(dataplane);
 
   core::RoundSpec spec;
   spec.probe.measurement_id = 424242;

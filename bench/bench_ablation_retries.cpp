@@ -52,11 +52,11 @@ int main() {
 
   // Traffic cost accounting (paper §3.1: one probe per /24 cuts traffic
   // to 0.4% of a complete IPv4 scan; a whole measurement is ~128 MB).
-  const std::size_t probe_bytes =
-      net::build_echo_request(net::Ipv4Address{192, 0, 2, 1},
-                              net::Ipv4Address{1, 2, 3, 4}, 1, 1,
-                              net::ProbePayload{})
-          .data.size();
+  std::vector<std::uint8_t> probe;
+  net::build_echo_request_into(probe, net::Ipv4Address{192, 0, 2, 1},
+                               net::Ipv4Address{1, 2, 3, 4}, 1, 1,
+                               net::ProbePayload{});
+  const std::size_t probe_bytes = probe.size();
   const double hitlist_mb =
       static_cast<double>(base_probes) * probe_bytes / 1e6;
   const double full_scan_mb =

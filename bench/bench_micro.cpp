@@ -39,10 +39,12 @@ void BM_BuildEchoRequest(benchmark::State& state) {
   net::ProbePayload payload;
   payload.measurement_id = 7;
   payload.original_target = net::Ipv4Address{1, 2, 3, 4};
+  std::vector<std::uint8_t> bytes;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::build_echo_request(
-        net::Ipv4Address{192, 0, 2, 1}, payload.original_target, 1, 2,
-        payload));
+    net::build_echo_request_into(bytes, net::Ipv4Address{192, 0, 2, 1},
+                                 payload.original_target, 1, 2, payload);
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_BuildEchoRequest);
@@ -51,16 +53,15 @@ void BM_ParseReply(benchmark::State& state) {
   net::ProbePayload payload;
   payload.measurement_id = 7;
   payload.original_target = net::Ipv4Address{1, 2, 3, 4};
-  const auto request = net::build_echo_request(
-      net::Ipv4Address{192, 0, 2, 1}, payload.original_target, 1, 2, payload);
-  const auto ip = net::Ipv4Header::parse(request.data);
-  const auto icmp = net::IcmpEcho::parse(
-      std::span<const std::uint8_t>{request.data}.subspan(
-          net::Ipv4Header::kSize));
-  const auto reply =
-      net::build_echo_reply(*ip, *icmp, payload.original_target);
+  std::vector<std::uint8_t> request;
+  net::build_echo_request_into(request, net::Ipv4Address{192, 0, 2, 1},
+                               payload.original_target, 1, 2, payload);
+  const auto packet = net::parse_icmp_packet_view(request);
+  std::vector<std::uint8_t> reply;
+  net::build_echo_reply_into(reply, packet->ip, packet->icmp,
+                             payload.original_target);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::parse_reply(reply.data));
+    benchmark::DoNotOptimize(net::parse_reply_view(reply));
   }
 }
 BENCHMARK(BM_ParseReply);
@@ -159,19 +160,24 @@ void BM_ProbeRoundTrip(benchmark::State& state) {
   const auto& hitlist = scenario.hitlist();
   std::size_t i = 0;
   std::uint64_t replies = 0;
+  std::vector<std::uint8_t> probe;
+  std::vector<std::uint8_t> reply;
+  std::vector<sim::DeliveryView> deliveries;
+  sim::DataplaneTally tally;
   for (auto _ : state) {
     const auto& entry = hitlist.entries()[i++ % hitlist.size()];
     net::ProbePayload payload;
     payload.measurement_id = 1;
     payload.original_target = entry.target;
-    const auto probe = net::build_echo_request(
-        scenario.broot().measurement_address, entry.target, 1,
-        static_cast<std::uint16_t>(i), payload);
-    auto deliveries =
-        scenario.internet().probe(routes, probe.data, {}, 0);
+    net::build_echo_request_into(probe, scenario.broot().measurement_address,
+                                 entry.target, 1,
+                                 static_cast<std::uint16_t>(i), payload);
+    scenario.internet().probe_into(routes, probe, {}, 0, deliveries, reply,
+                                   tally);
     replies += deliveries.size();
-    benchmark::DoNotOptimize(deliveries);
+    benchmark::DoNotOptimize(deliveries.data());
   }
+  sim::InternetSim::flush(tally);
   state.counters["replies_per_probe"] =
       benchmark::Counter(static_cast<double>(replies),
                          benchmark::Counter::kAvgIterations);

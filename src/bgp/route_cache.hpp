@@ -1,10 +1,10 @@
 // Memoized route computation for deployment sweeps.
 //
 // Prepending and placement searches (analysis::Scenario, bench_fig5/6,
-// bench_ext_placement, bench_table6/7, tools/debug_prepend) re-route the
-// same topology over and over — Anycast-Agility-style playbook searches
-// do it hundreds of times — and a full routing computation is the single
-// most expensive call in those loops. Catchments are a pure function of
+// bench_ext_placement, bench_table6/7) re-route the same topology over
+// and over — Anycast-Agility-style playbook searches do it hundreds of
+// times — and a full routing computation is the single most expensive
+// call in those loops. Catchments are a pure function of
 // (topology, deployment, routing options), so the cache keys each
 // computed RoutingTable by (anycast::fingerprint(deployment),
 // tiebreak_salt, epoch_jitter_rate) and hands out one shared immutable

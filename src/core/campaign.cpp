@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "core/verfploeter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/rng.hpp"
@@ -14,10 +13,6 @@
 #include "util/thread_pool.hpp"
 
 namespace vp::core {
-
-Campaign::Campaign(const Verfploeter& verfploeter,
-                   const bgp::RoutingTable& routes)
-    : Campaign(verfploeter.engine(), routes) {}
 
 RoundSpec Campaign::spec_for(std::uint32_t r) const {
   RoundSpec spec;
@@ -117,7 +112,7 @@ CampaignReport Campaign::run_reported() const {
     auto arena = acquire_arena();
     RoundSpec spec = spec_for(r);
     spec.arena = arena.get();
-    RoundResult result = engine_->run(*routes_, spec, observer_);
+    RoundResult result = verfploeter_->run(*routes_, spec, observer_);
     release_arena(std::move(arena));
     if (journal.is_open()) {
       std::lock_guard lock{journal_mutex};

@@ -23,12 +23,10 @@
 #include <vector>
 
 #include "core/journal.hpp"
-#include "core/probe_engine.hpp"
 #include "core/round.hpp"
+#include "core/verfploeter.hpp"
 
 namespace vp::core {
-
-class Verfploeter;
 
 /// What a journaled run did, alongside the results themselves.
 struct CampaignReport {
@@ -55,10 +53,8 @@ struct CampaignReport {
 
 class Campaign {
  public:
-  Campaign(const ProbeEngine& engine, const bgp::RoutingTable& routes)
-      : engine_(&engine), routes_(&routes) {}
-  /// Convenience overload so call sites can pass the Verfploeter facade.
-  Campaign(const Verfploeter& verfploeter, const bgp::RoutingTable& routes);
+  Campaign(const Verfploeter& verfploeter, const bgp::RoutingTable& routes)
+      : verfploeter_(&verfploeter), routes_(&routes) {}
 
   /// Base probe configuration; round r runs with measurement id
   /// `base.measurement_id + r` and order seed derived from
@@ -143,7 +139,7 @@ class Campaign {
   CampaignReport run_reported() const;
 
  private:
-  const ProbeEngine* engine_;
+  const Verfploeter* verfploeter_;
   const bgp::RoutingTable* routes_;
   ProbeConfig base_;
   std::uint32_t rounds_ = 1;

@@ -5,7 +5,7 @@
 // round index (which drives every stochastic process in the simulator),
 // the virtual start time, and how many worker shards to probe with. Two
 // runs of the same spec produce bit-identical results for ANY thread
-// count; see core/probe_engine.hpp for how the merge guarantees this.
+// count; see core/verfploeter.hpp for how the merge guarantees this.
 #pragma once
 
 #include <cstdint>

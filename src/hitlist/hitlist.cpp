@@ -80,13 +80,6 @@ std::uint32_t Hitlist::crc32() const {
   return crc;
 }
 
-std::vector<std::uint32_t> Hitlist::probe_order(
-    std::uint64_t round_seed) const {
-  std::vector<std::uint32_t> order;
-  probe_order_into(round_seed, order);
-  return order;
-}
-
 void Hitlist::probe_order_into(std::uint64_t round_seed,
                                std::vector<std::uint32_t>& out) const {
   out.resize(entries_.size());
@@ -94,15 +87,6 @@ void Hitlist::probe_order_into(std::uint64_t round_seed,
   util::Rng rng{round_seed};
   for (std::size_t i = out.size(); i > 1; --i)
     std::swap(out[i - 1], out[rng.below(i)]);
-}
-
-std::vector<net::Ipv4Address> Hitlist::targets_for(
-    const Entry& entry, int extra_targets_per_block,
-    std::uint64_t seed) const {
-  std::vector<net::Ipv4Address> scratch;
-  const auto targets =
-      targets_into(entry, extra_targets_per_block, seed, scratch);
-  return {targets.begin(), targets.end()};
 }
 
 std::span<const net::Ipv4Address> Hitlist::targets_into(

@@ -56,27 +56,20 @@ class Hitlist {
   std::uint32_t crc32() const;
 
   /// A pseudorandom probe order over the entries (paper §3.1: requests are
-  /// sent "in a pseudorandom order (following [25])" to spread load).
-  /// Different rounds get different permutations via `round_seed`.
-  std::vector<std::uint32_t> probe_order(std::uint64_t round_seed) const;
-
-  /// probe_order into a reused buffer — identical permutation, no
-  /// allocation once `out` has the capacity (the engine's cross-round
-  /// arena keeps it; at 6.4M entries the order alone is 25 MB).
+  /// sent "in a pseudorandom order (following [25])" to spread load),
+  /// written into a reused buffer: no allocation once `out` has the
+  /// capacity (the engine's cross-round arena keeps it; at 6.4M entries
+  /// the order alone is 25 MB). Different rounds get different
+  /// permutations via `round_seed`.
   void probe_order_into(std::uint64_t round_seed,
                         std::vector<std::uint32_t>& out) const;
 
-  /// Probes `extra_targets_per_block` additional addresses per block (the
-  /// Trinocular-style retry ablation, §3.1 "we could improve the response
-  /// rate by probing multiple targets in each block").
-  std::vector<net::Ipv4Address> targets_for(const Entry& entry,
-                                            int extra_targets_per_block,
-                                            std::uint64_t seed) const;
-
-  /// targets_for into a reused buffer: same addresses in the same order,
-  /// returned as a span over `scratch` (or directly over the entry's own
-  /// target when no extras are requested — zero work on the paper's
-  /// single-probe design).
+  /// The entry's target plus up to `extra_targets_per_block` additional
+  /// distinct addresses in its block (the Trinocular-style retry
+  /// ablation, §3.1 "we could improve the response rate by probing
+  /// multiple targets in each block"), returned as a span over `scratch`
+  /// (or directly over the entry's own target when no extras are
+  /// requested — zero work on the paper's single-probe design).
   std::span<const net::Ipv4Address> targets_into(
       const Entry& entry, int extra_targets_per_block, std::uint64_t seed,
       std::vector<net::Ipv4Address>& scratch) const;

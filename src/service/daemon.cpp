@@ -1,6 +1,7 @@
 #include "service/daemon.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <cmath>
@@ -527,8 +528,15 @@ net::HttpResponse Daemon::handle_load(const net::HttpRequest& request) {
       return net::HttpResponse::bad_request(
           "unknown site '" + std::string{pair.substr(0, eq)} + "'");
     }
-    const int prepend = std::atoi(std::string{pair.substr(eq + 1)}.c_str());
-    if (prepend < 0 || prepend > 16)
+    // The whole depth token must be a decimal integer: "abc", "" and
+    // "2x" are refused rather than read as a prefix, and a value too
+    // large for int is refused rather than overflowing.
+    const std::string_view depth = pair.substr(eq + 1);
+    int prepend = -1;
+    const auto [end, ec] =
+        std::from_chars(depth.data(), depth.data() + depth.size(), prepend);
+    if (ec != std::errc{} || end != depth.data() + depth.size() ||
+        prepend < 0 || prepend > 16)
       return net::HttpResponse::bad_request("prepend depth out of range");
     target.sites[static_cast<std::size_t>(*site)].prepend = prepend;
     if (comma == std::string_view::npos) break;

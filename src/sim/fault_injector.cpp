@@ -1,7 +1,5 @@
 #include "sim/fault_injector.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -54,24 +52,6 @@ bool FaultInjector::drops_probe(net::Ipv4Address target, std::uint32_t round,
   return roll(key, plan_.probe_loss_rate);
 }
 
-void FaultInjector::drops_probe_batch(
-    std::span<const net::Ipv4Address> targets, std::uint32_t round,
-    std::uint32_t attempt, std::vector<std::uint8_t>& out) const {
-  out.resize(targets.size());
-  if (plan_.probe_loss_rate <= 0.0) {
-    std::fill(out.begin(), out.end(), std::uint8_t{0});
-    return;
-  }
-  const std::uint64_t base =
-      util::hash_combine(plan_.seed, kProbeLossSalt);
-  const std::uint64_t ra = (std::uint64_t{round} << 32) | attempt;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    const std::uint64_t key = util::hash_combine(
-        base, util::hash_combine(targets[i].value(), ra));
-    out[i] = roll(key, plan_.probe_loss_rate) ? 1 : 0;
-  }
-}
-
 ChurnEvent FaultInjector::churn(net::Block24 block,
                                 std::uint32_t round) const {
   ChurnEvent event;
@@ -109,26 +89,17 @@ bool FaultInjector::site_dark_at(anycast::SiteId site,
   return roll(key, plan_.site_outage_rate);
 }
 
-namespace {
-
-/// Shared implementation for the owning (Delivery) and non-owning
-/// (DeliveryView) overloads — both only read/write `site` and `arrival`,
-/// and the Bernoulli streams are keyed by delivery index, so the fault
-/// realization is identical regardless of the container form.
-template <typename D>
-void apply_reply_faults_impl(const FaultInjector& injector,
-                             std::vector<D>& deliveries, net::Block24 block,
-                             std::uint32_t round, std::uint32_t attempt,
-                             util::SimTime tx, std::size_t site_count,
-                             util::SimTime window_start,
-                             util::SimTime window_length, FaultStats& stats) {
+void FaultInjector::apply_reply_faults(
+    std::vector<DeliveryView>& deliveries, net::Block24 block,
+    std::uint32_t round, std::uint32_t attempt, util::SimTime tx,
+    std::size_t site_count, util::SimTime window_start,
+    util::SimTime window_length, FaultStats& stats) const {
   if (deliveries.empty()) return;
-  const FaultPlan& plan = injector.plan();
   stats.replies_generated += deliveries.size();
 
   // Route state is sampled at probe emission: a BGP event whose onset
   // precedes this attempt's tx affects every reply the attempt causes.
-  const ChurnEvent event = injector.churn(block, round);
+  const ChurnEvent event = churn(block, round);
   const bool churned =
       event.active &&
       tx >= window_start +
@@ -137,12 +108,12 @@ void apply_reply_faults_impl(const FaultInjector& injector,
                     static_cast<double>(window_length.usec))};
 
   const std::uint64_t reply_stream = util::hash_combine(
-      util::hash_combine(plan.seed, util::hash_combine(block.index(), round)),
+      util::hash_combine(plan_.seed, util::hash_combine(block.index(), round)),
       attempt);
 
   std::size_t out = 0;
   for (std::size_t i = 0; i < deliveries.size(); ++i) {
-    D d = deliveries[i];
+    DeliveryView d = deliveries[i];
     const std::uint64_t copy_key = util::hash_combine(reply_stream, i);
     if (churned) {
       if (event.withdraw || site_count < 2) {
@@ -157,50 +128,30 @@ void apply_reply_faults_impl(const FaultInjector& injector,
       ++stats.diverted;
     }
     if (roll(util::hash_combine(copy_key, kReplyLossSalt),
-             plan.reply_loss_rate)) {
+             plan_.reply_loss_rate)) {
       ++stats.replies_lost;
       continue;
     }
-    if (injector.site_rate_limited(d.site, round) &&
+    if (site_rate_limited(d.site, round) &&
         roll(util::hash_combine(copy_key, kRateLimitDropSalt),
-             plan.rate_limit_drop_rate)) {
+             plan_.rate_limit_drop_rate)) {
       ++stats.rate_limited;
       continue;
     }
-    if (injector.site_dark_at(d.site, d.arrival)) {
+    if (site_dark_at(d.site, d.arrival)) {
       ++stats.outage_drops;
       continue;
     }
     if (roll(util::hash_combine(copy_key, kDelaySalt),
-             plan.delay_spike_rate)) {
+             plan_.delay_spike_rate)) {
       util::Rng rng{util::hash_combine(copy_key, kDelaySalt + 1)};
       d.arrival += util::SimTime::from_seconds(
-          rng.exponential(plan.delay_spike_mean_ms) / 1000.0);
+          rng.exponential(plan_.delay_spike_mean_ms) / 1000.0);
       ++stats.delayed;
     }
-    deliveries[out++] = std::move(d);
+    deliveries[out++] = d;
   }
   deliveries.resize(out);
-}
-
-}  // namespace
-
-void FaultInjector::apply_reply_faults(
-    std::vector<Delivery>& deliveries, net::Block24 block,
-    std::uint32_t round, std::uint32_t attempt, util::SimTime tx,
-    std::size_t site_count, util::SimTime window_start,
-    util::SimTime window_length, FaultStats& stats) const {
-  apply_reply_faults_impl(*this, deliveries, block, round, attempt, tx,
-                          site_count, window_start, window_length, stats);
-}
-
-void FaultInjector::apply_reply_faults(
-    std::vector<DeliveryView>& deliveries, net::Block24 block,
-    std::uint32_t round, std::uint32_t attempt, util::SimTime tx,
-    std::size_t site_count, util::SimTime window_start,
-    util::SimTime window_length, FaultStats& stats) const {
-  apply_reply_faults_impl(*this, deliveries, block, round, attempt, tx,
-                          site_count, window_start, window_length, stats);
 }
 
 void record_fault_metrics(const FaultStats& stats,

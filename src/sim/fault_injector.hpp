@@ -14,13 +14,12 @@
 // Thread-safety / determinism contract (same as the rest of sim/): every
 // method is const and PURE — each decision is a stateless hash of
 // (plan seed, entity, round, attempt, copy), with all generator state
-// local to the call. The sharded probe engine (core/probe_engine.hpp)
+// local to the call. The sharded round runner (core/verfploeter.hpp)
 // relies on this to keep rounds bit-identical for any worker count even
 // with faults and retries active. Do not add mutable state here.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "anycast/deployment.hpp"
@@ -131,14 +130,6 @@ class FaultInjector {
   bool drops_probe(net::Ipv4Address target, std::uint32_t round,
                    std::uint32_t attempt) const;
 
-  /// Batched drops_probe over a whole tile of first-attempt targets:
-  /// `out` is resized to targets.size() with out[i] nonzero iff
-  /// drops_probe(targets[i], round, attempt) — the seed/salt/round
-  /// combine is hoisted out of the loop, the draws are bit-identical.
-  void drops_probe_batch(std::span<const net::Ipv4Address> targets,
-                         std::uint32_t round, std::uint32_t attempt,
-                         std::vector<std::uint8_t>& out) const;
-
   /// The block's mid-round BGP event for this round, if any.
   ChurnEvent churn(net::Block24 block, std::uint32_t round) const;
 
@@ -155,18 +146,7 @@ class FaultInjector {
   /// most one drop bucket so accounting is exact:
   ///   surviving = generated - replies_dropped().
   /// Pure given its arguments; `stats` is the caller's (per-shard)
-  /// accumulator.
-  void apply_reply_faults(std::vector<Delivery>& deliveries,
-                          net::Block24 block, std::uint32_t round,
-                          std::uint32_t attempt, util::SimTime tx,
-                          std::size_t site_count,
-                          util::SimTime window_start,
-                          util::SimTime window_length,
-                          FaultStats& stats) const;
-
-  /// Same fault realization over the non-owning DeliveryView form the
-  /// hot path uses (both overloads share one implementation, so the
-  /// Bernoulli streams — keyed by delivery index — are identical).
+  /// accumulator. The Bernoulli streams are keyed by delivery index.
   void apply_reply_faults(std::vector<DeliveryView>& deliveries,
                           net::Block24 block, std::uint32_t round,
                           std::uint32_t attempt, util::SimTime tx,

@@ -11,7 +11,7 @@
 //
 // Every decision is a stateless hash of (seed, block, round): const
 // methods are pure and safe under concurrent probe workers
-// (core/probe_engine.hpp).
+// (core/verfploeter.hpp).
 #pragma once
 
 #include <cstdint>

@@ -9,14 +9,11 @@ namespace vp::sim {
 
 namespace {
 
-// Dataplane counters. probe() is the hottest call in the system (once
-// per probe attempt, from every worker thread), so these are striped
-// Counters: a relaxed enabled-check plus a per-thread-stripe fetch_add,
-// a few ns against probe()'s ~µs of parsing and hashing. Observe-only —
-// probe() stays pure in its inputs and bit-identical with metrics off.
-// The probes/lookups ratio also surfaces the cache-able of a future PR:
-// every target in a block repeats the same (routes, block, round) ->
-// site ground-truth lookup.
+// Dataplane counters. probe_into() is the hottest call in the system
+// (once per probe attempt, from every worker thread), so it counts into a
+// caller-owned DataplaneTally and these striped Counters only see the
+// flushed sums. Observe-only — probe_into() stays pure in its inputs and
+// bit-identical with metrics off.
 struct DataplaneMetrics {
   obs::Counter& probes;
   obs::Counter& malformed;
@@ -52,25 +49,6 @@ double InternetSim::rtt_ms(net::Block24 block, anycast::SiteId site,
   return propagation_ms + rng.exponential(config_.mean_queue_delay_ms);
 }
 
-std::vector<Delivery> InternetSim::probe(
-    const bgp::RoutingTable& routes,
-    std::span<const std::uint8_t> packet_bytes, util::SimTime tx_time,
-    std::uint32_t round) const {
-  std::vector<DeliveryView> views;
-  std::vector<std::uint8_t> reply;
-  probe_into(routes, packet_bytes, tx_time, round, views, reply);
-  std::vector<Delivery> out;
-  out.reserve(views.size());
-  for (const DeliveryView& v : views) {
-    Delivery d;
-    d.site = v.site;
-    d.arrival = v.arrival;
-    d.packet.data = reply;  // copy; deliveries own their bytes
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
 void InternetSim::flush(DataplaneTally& tally) {
   DataplaneMetrics& dm = DataplaneMetrics::get();
   if (tally.probes) dm.probes.add(tally.probes);
@@ -86,43 +64,24 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
                              util::SimTime tx_time, std::uint32_t round,
                              std::vector<DeliveryView>& out,
                              std::vector<std::uint8_t>& reply_scratch,
-                             DataplaneTally* tally,
+                             DataplaneTally& tally,
                              ResolveTally* resolve_tally) const {
   out.clear();
   reply_scratch.clear();
-  DataplaneTally local;
-  DataplaneTally& t = tally != nullptr ? *tally : local;
-  // With no caller-owned tally, flush the local one on every exit path so
-  // the striped counters advance exactly as before.
-  struct Flusher {
-    DataplaneTally* local;
-    ~Flusher() {
-      if (local != nullptr) InternetSim::flush(*local);
-    }
-  } flusher{tally != nullptr ? nullptr : &local};
-  ++t.probes;
+  ++tally.probes;
 
   // Parse at the "host": a real host only answers well-formed echoes.
-  const auto ip = net::Ipv4Header::parse(packet_bytes);
-  if (!ip || ip->protocol != net::IpProtocol::kIcmp) {
-    ++t.malformed;
+  const auto packet = net::parse_icmp_packet_view(packet_bytes);
+  if (!packet || packet->icmp.type != net::IcmpType::kEchoRequest) {
+    ++tally.malformed;
     return;
   }
-  if (packet_bytes.size() < ip->total_length) {
-    ++t.malformed;
-    return;
-  }
-  const auto icmp = net::parse_icmp_echo_view(packet_bytes.subspan(
-      net::Ipv4Header::kSize, ip->total_length - net::Ipv4Header::kSize));
-  if (!icmp || icmp->type != net::IcmpType::kEchoRequest) {
-    ++t.malformed;
-    return;
-  }
+  const net::Ipv4Header& ip = packet->ip;
 
-  const net::Block24 block = net::Block24::containing(ip->destination);
+  const net::Block24 block = net::Block24::containing(ip.destination);
   const ReplyBehavior behavior = responsiveness_.behavior(block, round);
   if (!behavior.responds) {
-    ++t.unresponsive;
+    ++tally.unresponsive;
     return;
   }
 
@@ -130,14 +89,14 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
   // (the hitlist's representative may be stale; multi-target probing can
   // still find a live secondary host).
   if (!responsiveness_.is_live_host(
-          block, static_cast<std::uint8_t>(ip->destination.value() & 0xff))) {
-    ++t.unresponsive;
+          block, static_cast<std::uint8_t>(ip.destination.value() & 0xff))) {
+    ++tally.unresponsive;
     return;
   }
 
   // Source address of the reply: usually the probed host; aliased hosts
   // (multi-homed boxes, middleboxes) reply from a neighboring address.
-  net::Ipv4Address reply_source = ip->destination;
+  net::Ipv4Address reply_source = ip.destination;
   if (behavior.alias) {
     util::Rng rng{util::hash_combine(
         util::hash_combine(responsiveness_.config().seed, 0xa71a5),
@@ -150,19 +109,19 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
           1 + rng.below(250)));
     } else {
       reply_source =
-          net::Ipv4Address{ip->destination.value() + 256};  // next /24
+          net::Ipv4Address{ip.destination.value() + 256};  // next /24
     }
-    if (reply_source == ip->destination)
+    if (reply_source == ip.destination)
       reply_source = block.address(251);
   }
 
   // Catchment: the site whose collector will receive this reply.
-  ++t.site_lookups;
+  ++tally.site_lookups;
   const anycast::SiteId site =
       flips_.site_in_round(routes, block, round, resolve_tally);
   if (site < 0) return;
 
-  net::build_echo_reply_into(reply_scratch, *ip, *icmp, reply_source);
+  net::build_echo_reply_into(reply_scratch, ip, packet->icmp, reply_source);
 
   const std::uint64_t jitter_key = util::hash_combine(
       util::hash_combine(config_.responsiveness.seed, round), 0x9d7);
@@ -175,7 +134,7 @@ void InternetSim::probe_into(const bgp::RoutingTable& routes,
     out.push_back(DeliveryView{
         site, tx_time + util::SimTime::from_seconds(delay_ms / 1000.0)});
   }
-  t.replies += out.size();
+  tally.replies += out.size();
 }
 
 }  // namespace vp::sim

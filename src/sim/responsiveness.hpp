@@ -15,7 +15,7 @@
 // All decisions are deterministic hashes of (seed, block, round), so any
 // round can be re-evaluated independently and reproducibly. This also
 // makes every const method safe to call from concurrent probe workers
-// (core/probe_engine.hpp): the model holds no per-call mutable state.
+// (core/verfploeter.hpp): the model holds no per-call mutable state.
 #pragma once
 
 #include <cstdint>

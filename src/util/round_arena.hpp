@@ -15,7 +15,7 @@
 // know how to size themselves; the arena only keeps them alive between
 // rounds and counts what happened, so a regression test can assert that
 // round 2+ performs zero hot-path growth (vp_engine_arena_reuses_total /
-// vp_engine_hot_allocs_total, see core/probe_engine.cpp).
+// vp_engine_hot_allocs_total, see core/verfploeter.cpp).
 //
 // Threading: an arena may be used by AT MOST ONE round at a time. The
 // engine's workers never touch the arena directly — the coordinator

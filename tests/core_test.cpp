@@ -200,39 +200,6 @@ TEST_F(CoreTest, ConcurrentCampaignMatchesSequentialInRoundOrder) {
   }
 }
 
-TEST(Collector, CountsMalformedPackets) {
-  Collector collector{0};
-  const std::vector<std::uint8_t> garbage{0x01, 0x02, 0x03};
-  collector.receive(garbage, {});
-  EXPECT_EQ(collector.malformed(), 1u);
-  EXPECT_TRUE(collector.records().empty());
-}
-
-TEST(Collector, RecordsValidReply) {
-  net::ProbePayload payload;
-  payload.measurement_id = 9;
-  payload.tx_time_usec = 1000;
-  payload.original_target = *net::Ipv4Address::parse("1.2.3.4");
-  const auto request = net::build_echo_request(
-      *net::Ipv4Address::parse("192.0.2.1"), payload.original_target, 9, 1,
-      payload);
-  const auto ip = net::Ipv4Header::parse(request.data);
-  const auto icmp = net::IcmpEcho::parse(
-      std::span<const std::uint8_t>{request.data}.subspan(
-          net::Ipv4Header::kSize));
-  const auto reply = net::build_echo_reply(*ip, *icmp, payload.original_target);
-
-  Collector collector{1};
-  collector.receive(reply.data, util::SimTime::from_seconds(2));
-  ASSERT_EQ(collector.records().size(), 1u);
-  const ReplyRecord& record = collector.records()[0];
-  EXPECT_EQ(record.site, 1);
-  EXPECT_EQ(record.measurement_id, 9u);
-  EXPECT_EQ(record.source, payload.original_target);
-  EXPECT_EQ(record.tx_time.usec, 1000);
-  EXPECT_DOUBLE_EQ(record.arrival.seconds(), 2.0);
-}
-
 TEST(CatchmentMap, SiteOfUnknownBlock) {
   CatchmentMap map;
   EXPECT_EQ(map.site_of(net::Block24{1}), anycast::kUnknownSite);

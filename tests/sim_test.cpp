@@ -48,15 +48,31 @@ class SimTest : public ::testing::Test {
     return {};
   }
 
-  static net::PacketBytes make_probe(net::Ipv4Address target,
-                                     std::uint32_t id = 1) {
+  static std::vector<std::uint8_t> make_probe(net::Ipv4Address target,
+                                              std::uint32_t id = 1) {
     net::ProbePayload payload;
     payload.measurement_id = id;
     payload.tx_time_usec = 0;
     payload.original_target = target;
-    return net::build_echo_request(
-        routes().deployment().measurement_address, target,
+    std::vector<std::uint8_t> bytes;
+    net::build_echo_request_into(
+        bytes, routes().deployment().measurement_address, target,
         static_cast<std::uint16_t>(id), 1, payload);
+    return bytes;
+  }
+
+  /// One probe through the dataplane at time 0 of round 0: the reply
+  /// deliveries, the reply bytes they all share, and the dataplane tally.
+  struct Probed {
+    std::vector<DeliveryView> deliveries;
+    std::vector<std::uint8_t> reply;
+    DataplaneTally tally;
+  };
+  static Probed probe(std::span<const std::uint8_t> packet) {
+    Probed out;
+    internet().probe_into(routes(), packet, {}, 0, out.deliveries, out.reply,
+                          out.tally);
+    return out;
   }
 
  private:
@@ -163,12 +179,13 @@ TEST_F(SimTest, SecondaryHostsAreSparse) {
 
 TEST_F(SimTest, ProbeToResponsiveHostYieldsReplyAtCatchmentSite) {
   const auto [block, target] = responsive_target();
-  const auto deliveries =
-      internet().probe(routes(), make_probe(target).data, {}, 0);
+  const Probed probed = probe(make_probe(target));
+  const auto& deliveries = probed.deliveries;
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(deliveries[0].site,
             internet().ground_truth_site(routes(), block, 0));
-  const auto parsed = net::parse_reply(deliveries[0].packet.data);
+  EXPECT_EQ(probed.tally.replies, 1u);
+  const auto parsed = net::parse_reply_view(probed.reply);
   ASSERT_TRUE(parsed);
   EXPECT_EQ(parsed->ip.source, target);
   EXPECT_EQ(parsed->ip.destination, routes().deployment().measurement_address);
@@ -181,11 +198,10 @@ TEST_F(SimTest, ProbeToDeadHostYieldsNothing) {
   // Find a dead host offset in the same block.
   for (int host = 1; host < 251; ++host) {
     if (!model.is_live_host(block, static_cast<std::uint8_t>(host))) {
-      const auto deliveries = internet().probe(
-          routes(),
-          make_probe(block.address(static_cast<std::uint8_t>(host))).data,
-          {}, 0);
-      EXPECT_TRUE(deliveries.empty());
+      const Probed probed =
+          probe(make_probe(block.address(static_cast<std::uint8_t>(host))));
+      EXPECT_TRUE(probed.deliveries.empty());
+      EXPECT_EQ(probed.tally.unresponsive, 1u);
       return;
     }
   }
@@ -193,21 +209,21 @@ TEST_F(SimTest, ProbeToDeadHostYieldsNothing) {
 
 TEST_F(SimTest, ProbeToUnallocatedSpaceYieldsNothing) {
   const auto target = *net::Ipv4Address::parse("223.255.255.1");
-  EXPECT_TRUE(
-      internet().probe(routes(), make_probe(target).data, {}, 0).empty());
+  EXPECT_TRUE(probe(make_probe(target)).deliveries.empty());
 }
 
 TEST_F(SimTest, MalformedProbeIgnored) {
   const auto [block, target] = responsive_target();
-  net::PacketBytes probe = make_probe(target);
-  probe.data[10] ^= 0xff;  // corrupt the IP checksum
-  EXPECT_TRUE(internet().probe(routes(), probe.data, {}, 0).empty());
+  std::vector<std::uint8_t> packet = make_probe(target);
+  packet[10] ^= 0xff;  // corrupt the IP checksum
+  const Probed corrupt = probe(packet);
+  EXPECT_TRUE(corrupt.deliveries.empty());
+  EXPECT_EQ(corrupt.tally.malformed, 1u);
   // Truncated.
-  EXPECT_TRUE(internet()
-                  .probe(routes(),
-                         std::span<const std::uint8_t>{probe.data.data(), 10},
-                         {}, 0)
-                  .empty());
+  const Probed truncated =
+      probe(std::span<const std::uint8_t>{packet.data(), 10});
+  EXPECT_TRUE(truncated.deliveries.empty());
+  EXPECT_EQ(truncated.tally.malformed, 1u);
 }
 
 TEST_F(SimTest, RttScalesWithDistance) {
@@ -223,8 +239,7 @@ TEST_F(SimTest, RttScalesWithDistance) {
     if (!geo_record) continue;
     const auto target =
         info.block.address(model.responsive_host(info.block));
-    const auto deliveries =
-        internet().probe(routes(), make_probe(target).data, {}, 0);
+    const auto deliveries = probe(make_probe(target)).deliveries;
     if (deliveries.size() != 1) continue;
     const auto site = deliveries[0].site;
     const double km = geo::distance_km(
@@ -273,10 +288,9 @@ TEST_F(SimTest, AliasReplyComesFromDifferentAddress) {
     const ReplyBehavior b = model.behavior(info.block, 0);
     if (!b.responds || !b.alias) continue;
     const auto target = info.block.address(model.responsive_host(info.block));
-    const auto deliveries =
-        internet().probe(routes(), make_probe(target).data, {}, 0);
-    ASSERT_FALSE(deliveries.empty());
-    const auto parsed = net::parse_reply(deliveries[0].packet.data);
+    const Probed probed = probe(make_probe(target));
+    ASSERT_FALSE(probed.deliveries.empty());
+    const auto parsed = net::parse_reply_view(probed.reply);
     ASSERT_TRUE(parsed);
     EXPECT_NE(parsed->ip.source, target);
     EXPECT_EQ(parsed->probe.original_target, target);
@@ -291,8 +305,7 @@ TEST_F(SimTest, LateReplyArrivesAfterCutoff) {
     const ReplyBehavior b = model.behavior(info.block, 0);
     if (!b.responds || !b.late || b.alias) continue;
     const auto target = info.block.address(model.responsive_host(info.block));
-    const auto deliveries =
-        internet().probe(routes(), make_probe(target).data, {}, 0);
+    const auto deliveries = probe(make_probe(target)).deliveries;
     ASSERT_FALSE(deliveries.empty());
     EXPECT_GT(deliveries[0].arrival.minutes(), 15.0);
     return;
