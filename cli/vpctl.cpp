@@ -23,11 +23,13 @@
 // Global flags: --scale F (Internet size, default 0.4), --seed N,
 // --threads N (probe workers per round; 0 = all hardware threads).
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -60,6 +62,15 @@ using namespace vp;
 
 namespace {
 
+/// A numeric flag whose value is not a whole integer in its range. Thrown
+/// where the flag is read; main turns it into the usage message, exit 2.
+struct BadFlag {
+  std::string key;
+  std::string value;
+  std::string lo;
+  std::string hi;
+};
+
 struct Args {
   std::string command;
   std::map<std::string, std::string> options;
@@ -73,9 +84,21 @@ struct Args {
     const auto it = options.find(key);
     return it == options.end() ? fallback : std::atof(it->second.c_str());
   }
-  long get_long(const std::string& key, long fallback) const {
+  /// Integer flag: the whole token must be a decimal T in [lo, hi]
+  /// ("abc", "2x", "-1" for an unsigned flag, overflow: BadFlag).
+  template <typename T>
+  T get_int(const std::string& key, T fallback, T lo = T{0},
+            T hi = std::numeric_limits<T>::max()) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atol(it->second.c_str());
+    if (it == options.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (ec != std::errc{} || end != text.data() + text.size() || value < lo ||
+        value > hi)
+      throw BadFlag{key, text, std::to_string(lo), std::to_string(hi)};
+    return value;
   }
 };
 
@@ -240,11 +263,11 @@ int usage() {
 analysis::Scenario make_scenario(const Args& args) {
   analysis::ScenarioConfig config;
   config.scale = args.get_double("scale", 0.4);
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
+  config.seed = args.get_int<std::uint64_t>("seed", 42);
   config.route_cache = !args.has("no-route-cache");
   if (args.has("route-cache-bytes")) {
     config.route_cache_bytes =
-        static_cast<std::size_t>(args.get_long("route-cache-bytes", 0));
+        args.get_int<std::size_t>("route-cache-bytes", 0);
   } else if (const char* env = std::getenv("VP_ROUTE_CACHE_BYTES")) {
     config.route_cache_bytes = std::strtoull(env, nullptr, 10);
   }
@@ -302,13 +325,17 @@ class ProgressObserver : public core::RoundObserver {
   std::mutex mutex_;
 };
 
-unsigned probe_threads(const Args& args) {
-  return static_cast<unsigned>(args.get_long("threads", 1));
+/// Upper bound for --threads and --concurrency: far above any core count
+/// this runs on, far below a thread count that would exhaust the host.
+constexpr unsigned kMaxThreads = 256;
+
+unsigned probe_threads(const Args& args, unsigned fallback = 1) {
+  return args.get_int<unsigned>("threads", fallback, 0, kMaxThreads);
 }
 
 /// Retry/backoff knobs shared by scan-style commands and campaigns.
 void apply_retry_args(core::ProbeConfig& probe, const Args& args) {
-  probe.max_retries = static_cast<int>(args.get_long("retries", 0));
+  probe.max_retries = args.get_int("retries", 0, 0, 100);
   probe.probe_timeout_ms = args.get_double("timeout-ms", 1000.0);
   probe.retry_backoff_ms = args.get_double("backoff-ms", 250.0);
 }
@@ -316,7 +343,7 @@ void apply_retry_args(core::ProbeConfig& probe, const Args& args) {
 /// The seeded fault plan behind --fault-seed (nullopt = run clean).
 std::optional<sim::FaultInjector> make_injector(const Args& args) {
   if (!args.has("fault-seed")) return std::nullopt;
-  const auto seed = static_cast<std::uint64_t>(args.get_long("fault-seed", 1));
+  const auto seed = args.get_int<std::uint64_t>("fault-seed", 1);
   std::printf("injecting faults (plan seed %llu)\n",
               static_cast<unsigned long long>(seed));
   return sim::FaultInjector{sim::FaultPlan::from_seed(seed)};
@@ -390,10 +417,16 @@ int cmd_scan(const Args& args) {
   if (args.has("prepend")) {
     const std::string spec = args.get("prepend", "");
     const auto eq = spec.find('=');
-    if (eq == std::string::npos) return usage();
-    deployment =
-        deployment.with_prepend(spec.substr(0, eq),
-                                std::atoi(spec.c_str() + eq + 1));
+    const auto depth = eq == std::string::npos
+                           ? std::nullopt
+                           : anycast::parse_prepend_depth(
+                                 std::string_view{spec}.substr(eq + 1));
+    if (!depth) {
+      std::fprintf(stderr, "error: --prepend %s: want SITE=N, N in 0..16\n",
+                   spec.c_str());
+      return usage();
+    }
+    deployment = deployment.with_prepend(spec.substr(0, eq), *depth);
     std::printf("prepending: %s\n", spec.c_str());
   }
   const auto round = run_scan(scenario, deployment, 0, args);
@@ -420,7 +453,7 @@ int cmd_sweep(const Args& args) {
                  site_code.c_str());
     return usage();
   }
-  const int max_prepend = static_cast<int>(args.get_long("max-prepend", 3));
+  const int max_prepend = args.get_int("max-prepend", 3, 0, 16);
   const bool delta = args.has("delta-sweep");
   std::printf("sweeping %s prepend 0..%d (%s routing)\n", site_code.c_str(),
               max_prepend, delta ? "incremental delta" : "full per config");
@@ -477,7 +510,7 @@ int cmd_campaign(const Args& args) {
   std::signal(SIGTERM, on_signal);
   const auto scenario = make_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
-  const auto rounds = static_cast<std::uint32_t>(args.get_long("rounds", 16));
+  const auto rounds = args.get_int<std::uint32_t>("rounds", 16, 1, 100000);
   const double interval = args.get_double("interval-min", 15.0);
   const auto routes_ptr = scenario.route(deployment);
   const auto& routes = *routes_ptr;
@@ -491,7 +524,7 @@ int cmd_campaign(const Args& args) {
       .rounds(rounds)
       .interval(util::SimTime::from_minutes(interval))
       .threads(probe_threads(args))
-      .concurrency(static_cast<unsigned>(args.get_long("concurrency", 1)))
+      .concurrency(args.get_int<unsigned>("concurrency", 1, 0, kMaxThreads))
       .observe(progress)
       .cancel(&g_interrupted)
       .faults(injector ? &*injector : nullptr);
@@ -647,7 +680,7 @@ int cmd_recommend(const Args& args) {
               report.load_weighted_mean_ms);
   const auto candidates = analysis::recommend_sites(
       scenario.topo(), round, load, deployment,
-      static_cast<std::size_t>(args.get_long("candidates", 5)));
+      args.get_int<std::size_t>("candidates", 5));
   util::Table table{{"#", "location", "blocks won", "mean saving"},
                     {util::Align::kRight, util::Align::kLeft}};
   for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -692,20 +725,16 @@ int cmd_gen(const Args& args) {
     std::printf("loaded %s (%.2fs)\n", path.c_str(), gen_seconds);
   } else {
     topology::ScaleConfig gen;
-    gen.seed = static_cast<std::uint64_t>(args.get_long("gen-seed", 42));
-    gen.as_count =
-        static_cast<std::uint32_t>(args.get_long("gen-ases", 10'000));
-    gen.target_blocks = static_cast<std::uint32_t>(args.get_long(
-        "gen-blocks", static_cast<long>(13L * gen.as_count)));
-    gen.transit_count =
-        static_cast<std::uint32_t>(args.get_long("gen-transits", 16));
-    if (args.has("gen-shard")) {
-      gen.shard_size =
-          static_cast<std::uint32_t>(args.get_long("gen-shard", 4096));
-    }
+    gen.seed = args.get_int<std::uint64_t>("gen-seed", 42);
+    gen.as_count = args.get_int<std::uint32_t>("gen-ases", 10'000, 1);
+    gen.target_blocks =
+        args.get_int<std::uint32_t>("gen-blocks", 13 * gen.as_count, 1);
+    gen.transit_count = args.get_int<std::uint32_t>("gen-transits", 16, 1);
+    if (args.has("gen-shard"))
+      gen.shard_size = args.get_int<std::uint32_t>("gen-shard", 4096, 1);
     gen.multihoming_mean = args.get_double("multihoming", 0.35);
     gen.peering_density = args.get_double("peering", 0.15);
-    gen.threads = static_cast<unsigned>(args.get_long("threads", 0));
+    gen.threads = probe_threads(args, 0);
     std::printf("generating %s ASes / %s target blocks (seed %llu)...\n",
                 util::with_commas(gen.as_count).c_str(),
                 util::with_commas(gen.target_blocks).c_str(),
@@ -758,10 +787,9 @@ int cmd_gen(const Args& args) {
   }
 
   if (args.has("probe")) {
-    const auto seed =
-        static_cast<std::uint64_t>(args.get_long("gen-seed", 42));
+    const auto seed = args.get_int<std::uint64_t>("gen-seed", 42);
     const auto deployment = anycast::make_generated(
-        topo, static_cast<std::size_t>(args.get_long("sites", 4)), seed);
+        topo, args.get_int<std::size_t>("sites", 4, 1), seed);
     if (deployment.sites.empty()) {
       std::fprintf(stderr, "error: topology has no transit core to host "
                            "anycast sites\n");
@@ -873,18 +901,18 @@ int cmd_playbook(const Args& args) {
   const auto& deployment = pick_deployment(scenario, args);
 
   agility::PlaybookConfig config;
-  config.max_prepend = static_cast<int>(args.get_long("max-prepend", 3));
+  config.max_prepend = args.get_int("max-prepend", 3, 0, 16);
   config.allow_withdraw = !args.has("no-withdraw");
   config.strategy = args.has("exhaustive")
                         ? agility::SearchStrategy::kExhaustive
                         : agility::SearchStrategy::kStaged;
-  config.threads = static_cast<unsigned>(args.get_long("threads", 1));
+  config.threads = probe_threads(args);
   // The A/B escape hatch reaches the optimizer too: without the route
   // cache every candidate is routed and scored from scratch. The
   // playbook is bit-identical either way (cli_exit_test proves it).
   config.use_delta = !args.has("no-route-cache");
   config.capacity_headroom = args.get_double("headroom", 1.6);
-  config.top_k = static_cast<std::size_t>(args.get_long("top", 5));
+  config.top_k = args.get_int<std::size_t>("top", 5, 1);
 
   anycast::SiteId target = anycast::kUnknownSite;
   if (args.has("target")) {
@@ -913,7 +941,7 @@ int cmd_playbook(const Args& args) {
       }
       agility::AttackSpec spec;
       spec.kind = *kind;
-      spec.seed = static_cast<std::uint64_t>(args.get_long("attack-seed", 1));
+      spec.seed = args.get_int<std::uint64_t>("attack-seed", 1);
       spec.magnitude = args.get_double("magnitude", 4.0);
       spec.target_site = target;
       attacks.push_back(spec);
@@ -996,7 +1024,15 @@ int main(int argc, char** argv) {
   const auto args = parse_args(argc, argv);
   if (!args) return usage();
   if (args->has("no-metrics")) obs::metrics().set_enabled(false);
-  int rc = dispatch(*args);
+  int rc = 0;
+  try {
+    rc = dispatch(*args);
+  } catch (const BadFlag& bad) {
+    std::fprintf(stderr, "error: --%s %s: want an integer in %s..%s\n",
+                 bad.key.c_str(), bad.value.c_str(), bad.lo.c_str(),
+                 bad.hi.c_str());
+    return usage();
+  }
   if (args->has("metrics-out")) {
     const std::string path = args->get("metrics-out", "metrics.json");
     if (obs::write_metrics_file(path, obs::metrics().snapshot())) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 
 #include "topology/generator.hpp"
@@ -131,6 +132,16 @@ Deployment Deployment::with_prepend(std::string_view site_code,
   for (AnycastSite& site : copy.sites)
     if (site.code == site_code) site.prepend = prepend;
   return copy;
+}
+
+std::optional<int> parse_prepend_depth(std::string_view token) {
+  int depth = -1;
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), depth);
+  if (ec != std::errc{} || end != token.data() + token.size() || depth < 0 ||
+      depth > 16)
+    return std::nullopt;
+  return depth;
 }
 
 namespace {

@@ -52,6 +52,12 @@ struct Deployment {
   Deployment with_prepend(std::string_view site_code, int prepend) const;
 };
 
+/// Parses an operator-supplied prepend depth (`vpctl scan --prepend
+/// SITE=N`, vpd's `/load?config=SITE=N`). The whole token must be a
+/// decimal integer in 0..16: "abc", "", "2x", "-5" and values too large
+/// for int are nullopt rather than read as a prefix or wrapped.
+std::optional<int> parse_prepend_depth(std::string_view token);
+
 /// Order-sensitive 64-bit hash of everything about a deployment that can
 /// change measurement results (prefix, sites, prepends, locations,
 /// enabled/hidden flags). Campaign journals fold it into their manifest

@@ -65,13 +65,6 @@ struct RoundSpec {
   /// outlive the run). Null or a disabled plan leaves every packet and
   /// timestamp byte-identical to the fault-free engine.
   const sim::FaultInjector* faults = nullptr;
-  /// Block-range tile size in probe-order entries: each shard walks its
-  /// chunk tile by tile so the resolver/geo/responsiveness slices a tile
-  /// touches fit in LLC. 0 = auto (the engine's tuned default); 1 =
-  /// degenerate per-entry tiles; UINT32_MAX = one tile per shard.
-  /// NEVER affects results — merged output is bit-identical for any
-  /// value (tests sweep it) — so it stays out of Campaign fingerprints.
-  std::uint32_t tile_entries = 0;
   /// Optional cross-round scratch arena (must outlive the run). The
   /// engine keeps its probe-order, reply-buffer and per-shard workspaces
   /// here so round N+1 reuses round N's allocations; null means the run

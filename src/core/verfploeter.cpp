@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "bgp/catchment_resolver.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/rng.hpp"
@@ -15,13 +14,6 @@
 namespace vp::core {
 
 namespace {
-
-/// Auto tile size (RoundSpec::tile_entries == 0): the probe-order entries
-/// one shard walks before moving to the next block range. 32k entries
-/// keep the resolver slice (~32KB), the flappy bitset (~4KB) and the
-/// geo/responsiveness rows a tile touches comfortably inside LLC while
-/// still amortizing the per-tile bucketing work.
-constexpr std::uint32_t kDefaultTileEntries = 32768;
 
 /// Structure-of-arrays reply accumulator, one per (shard, site): the
 /// site's collector. Columns keep their capacity across rounds via the
@@ -71,12 +63,11 @@ struct ReplyBuffer {
 /// counter (append order across attempts), so (arrival, site, key, seq)
 /// is a strict total order — (key, seq) is unique per record. It is the
 /// order of a serial walk that appended each site's replies in ascending
-/// (probe index, seq) and then stable-sorted by arrival; shards own
-/// ascending disjoint probe-index ranges, so a site-major, shard-order
-/// concatenation of the buffers has the same equal-arrival tie order.
-/// Making that order explicit in the comparator frees every shard to
-/// produce its records in any processing order — which is what lets the
-/// tiled walk exist at all.
+/// (probe index, seq) and then stable-sorted by arrival. Making that
+/// order explicit in the comparator frees every shard to produce its
+/// records in any processing order — which is what lets each shard walk
+/// its block range in ascending entry order while the probe indices it
+/// stamps are scattered across the whole round.
 struct CleanRecord {
   std::int64_t arrival_usec = 0;
   std::int64_t tx_usec = 0;
@@ -98,11 +89,7 @@ struct CleanRecord {
 /// phase runs; the coordinator reads it after the workers join. Lives in
 /// the round arena so round N+1 starts with round N's capacities.
 struct ShardWs {
-  std::vector<ReplyBuffer> replies;        // one per site
-  std::vector<std::uint32_t> tile_start;   // bucket -> first slot, size B+1
-  std::vector<std::uint32_t> tile_cursor;  // counting-sort fill cursors
-  std::vector<std::uint32_t> tile_entry;   // slot -> hitlist entry index
-  std::vector<std::uint64_t> tile_gidx;    // slot -> first global probe idx
+  std::vector<ReplyBuffer> replies;  // one per site
   std::vector<net::Ipv4Address> targets_scratch;
   std::vector<std::uint8_t> probe_bytes;
   std::vector<std::uint8_t> reply_bytes;
@@ -121,7 +108,8 @@ struct ShardWs {
 /// arena; shapes repeat round to round (same hitlist, same threads), so
 /// a steady-state round allocates nothing here.
 struct EngineWorkspace {
-  std::vector<std::uint32_t> order;
+  std::vector<std::uint32_t> order;   // order position -> entry index
+  std::vector<std::uint32_t> pos;     // entry index -> order position
   std::vector<std::uint64_t> offset;  // extra-targets mode only
   std::vector<ShardWs> shards;
   std::vector<std::uint32_t> addr_by_block;  // block off -> probed address
@@ -189,8 +177,6 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
   // the workers fan out — otherwise every worker's first probe piles up
   // on the resolver's call_once.
   internet_->warm(routes);
-  const bgp::CatchmentResolver* resolver =
-      internet_->flips().resolver_for(routes);
 
   // Cross-round scratch: a caller-provided arena (Campaign, the daemon,
   // the benches) makes round N+1 reuse round N's capacities; without one
@@ -207,22 +193,23 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
   // --- plan ---------------------------------------------------------------
   // Probe i's global index gives its tx timestamp and ICMP sequence as
   // pure functions (tx = start + i/rate), so packets are bit-identical to
-  // the serial walk's no matter which shard or tile builds them. With no
+  // the serial walk's no matter which shard builds them or when. With no
   // extra targets the index IS the order position (one probe per entry)
   // and the prefix-sum array is elided entirely — 51MB saved at 6.4M.
-  util::arena_reserve(ws.order, hitlist_->size(), *arena);
+  const std::size_t entry_count = hitlist_->size();
+  util::arena_reserve(ws.order, entry_count, *arena);
   hitlist_->probe_order_into(util::hash_combine(config.order_seed, spec.round),
                              ws.order);
   const auto& order = ws.order;
   const std::uint64_t target_seed =
       util::hash_combine(config.order_seed, 0x7a6e);
   const bool multi_target = config.extra_targets_per_block > 0;
-  std::uint64_t total_probes = order.size();
+  std::uint64_t total_probes = entry_count;
   if (multi_target) {
-    util::arena_reserve(ws.offset, order.size() + 1, *arena);
-    ws.offset.assign(order.size() + 1, 0);
+    util::arena_reserve(ws.offset, entry_count + 1, *arena);
+    ws.offset.assign(entry_count + 1, 0);
     std::vector<net::Ipv4Address> scratch;
-    for (std::size_t i = 0; i < order.size(); ++i) {
+    for (std::size_t i = 0; i < entry_count; ++i) {
       const hitlist::Entry& entry = hitlist_->entries()[order[i]];
       ws.offset[i + 1] =
           ws.offset[i] + hitlist_
@@ -231,27 +218,24 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
                                             target_seed, scratch)
                              .size();
     }
-    total_probes = ws.offset[order.size()];
+    total_probes = ws.offset[entry_count];
   }
+  // Inverse of the order: entry e goes out at order position pos[e]. One
+  // serial scatter — cheaper than every shard scanning the whole order
+  // for its own entries.
+  util::arena_reserve(ws.pos, entry_count, *arena);
+  ws.pos.resize(entry_count);
+  for (std::size_t i = 0; i < entry_count; ++i)
+    ws.pos[order[i]] = static_cast<std::uint32_t>(i);
 
-  // Contiguous chunks of the probe order, balanced by probe count. Each
-  // chunk owns an ascending, disjoint global probe-index range — the
-  // property the merge sort's (key, seq) tie-break relies on.
+  // Contiguous, equal-sized ranges of hitlist entries, one per shard.
+  // Entries follow the topology's ascending block run, so a shard's
+  // resolver, geo, responsiveness and addr_by_block rows are contiguous
+  // and private to it. Its probe indices are scattered over the whole
+  // round, which the merge's total order makes irrelevant (CleanRecord).
   const unsigned shard_count = static_cast<unsigned>(std::min<std::uint64_t>(
       util::resolve_threads(spec.threads),
-      std::max<std::uint64_t>(order.size(), 1)));
-  std::vector<std::size_t> bounds(shard_count + 1, order.size());
-  bounds[0] = 0;
-  for (unsigned s = 1; s < shard_count; ++s) {
-    const std::uint64_t want = total_probes * s / shard_count;
-    bounds[s] =
-        multi_target
-            ? static_cast<std::size_t>(
-                  std::lower_bound(ws.offset.begin(), ws.offset.end(), want) -
-                  ws.offset.begin())
-            : static_cast<std::size_t>(
-                  std::min<std::uint64_t>(want, order.size()));
-  }
+      std::max<std::uint64_t>(entry_count, 1)));
 
   // Block span of the hitlist: backs the direct-mapped probed-address
   // table (one slot per /24) and the result's dense catchment map, whose
@@ -259,7 +243,7 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
   // lies inside its entry's block, so the span covers all of them.
   std::uint32_t block_lo = 0;
   std::size_t block_span = 0;
-  if (!order.empty()) {
+  if (entry_count > 0) {
     std::uint32_t lo = 0xffffffff, hi = 0;
     for (const hitlist::Entry& entry : hitlist_->entries()) {
       lo = std::min(lo, entry.block.index());
@@ -270,14 +254,14 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
   }
   if (!multi_target) {
     // Filled race-free inside the shard loop: each hitlist entry (and
-    // thus each block slot) belongs to exactly one order position. The
-    // zero sentinel is unambiguous — probed addresses have a nonzero
-    // host byte, so their value is never 0.
+    // thus each block slot) belongs to exactly one shard. The zero
+    // sentinel is unambiguous — probed addresses have a nonzero host
+    // byte, so their value is never 0.
     util::arena_reserve(ws.addr_by_block, block_span, *arena);
     ws.addr_by_block.assign(block_span, 0);
   }
 
-  // --- probe phase (sharded, tiled) ---------------------------------------
+  // --- probe phase (sharded by block range) -------------------------------
   const util::SimTime gap =
       util::SimTime::from_seconds(1.0 / config.rate_pps);
   // Fault/retry path: only taken when a live plan or retries are
@@ -294,20 +278,14 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
       util::SimTime::from_seconds(config.probe_timeout_ms / 1000.0);
   const util::SimTime window =
       util::SimTime{gap.usec * static_cast<std::int64_t>(total_probes)};
-  const std::uint32_t tile_entries =
-      spec.tile_entries == 0 ? kDefaultTileEntries : spec.tile_entries;
-  const std::size_t entry_count = hitlist_->size();
-  const std::size_t bucket_count =
-      entry_count == 0
-          ? 1
-          : (entry_count + tile_entries - 1) / tile_entries;
 
   util::arena_reserve(ws.shards, shard_count, *arena);
   if (ws.shards.size() < shard_count) ws.shards.resize(shard_count);
   std::mutex observer_mutex;
   std::uint64_t sent_total = 0;  // guarded by observer_mutex
-  // Each worker reports every `stride` probes; dividing by the shard count
-  // keeps the global reporting cadence roughly constant as threads grow.
+  // Each worker flushes its tallies and reports progress every `stride`
+  // probes; dividing by the shard count keeps the global reporting
+  // cadence roughly constant as threads grow.
   const std::uint64_t stride =
       std::max<std::uint64_t>((1u << 16) / shard_count, 4096);
 
@@ -334,155 +312,120 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
       buf.clear();
       reply_caps += buf.capacity();
     }
-    const std::size_t begin = bounds[s];
-    const std::size_t end = bounds[s + 1];
-    const std::size_t chunk = end - begin;
+    const std::size_t begin = entry_count * s / shard_count;
+    const std::size_t end = entry_count * (s + 1) / shard_count;
     shard.probed_addresses.clear();
     if (multi_target) {
+      // The per-entry target bound, not this round's count: the shard's
+      // entries are the same every round, so warm rounds never regrow.
       grow(shard.probed_addresses,
-           static_cast<std::size_t>(ws.offset[end] - ws.offset[begin]));
-    }
-
-    // Bucket the chunk's order positions into block-range tiles with one
-    // counting sort: tile t holds the positions whose entry index lands
-    // in [t*tile_entries, (t+1)*tile_entries). Entry indices track block
-    // indices (the hitlist follows the topology's ascending block run),
-    // so a tile's resolver/geo/responsiveness rows stay cache-resident
-    // while its probes run, instead of the whole-range random walk that
-    // made the 6.4M round memory-bound.
-    grow(shard.tile_start, bucket_count + 1);
-    grow(shard.tile_cursor, bucket_count);
-    grow(shard.tile_entry, chunk);
-    grow(shard.tile_gidx, chunk);
-    shard.tile_start.assign(bucket_count + 1, 0);
-    shard.tile_entry.resize(chunk);
-    shard.tile_gidx.resize(chunk);
-    for (std::size_t i = begin; i < end; ++i)
-      ++shard.tile_start[order[i] / tile_entries + 1];
-    for (std::size_t b = 0; b < bucket_count; ++b)
-      shard.tile_start[b + 1] += shard.tile_start[b];
-    shard.tile_cursor.assign(shard.tile_start.begin(),
-                             shard.tile_start.end() - 1);
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t slot = shard.tile_cursor[order[i] / tile_entries]++;
-      shard.tile_entry[slot] = order[i];
-      shard.tile_gidx[slot] =
-          multi_target ? ws.offset[i] : static_cast<std::uint64_t>(i);
+           (end - begin) *
+               (1 + static_cast<std::size_t>(config.extra_targets_per_block)));
     }
 
     std::uint64_t since_report = 0;
     sim::DataplaneTally dataplane;
     sim::ResolveTally resolve_tally;
-    for (std::size_t t = 0; t < bucket_count; ++t) {
-      const std::uint32_t slot_begin = shard.tile_start[t];
-      const std::uint32_t slot_end = shard.tile_start[t + 1];
-      if (slot_begin == slot_end) continue;
-      if (resolver != nullptr) {
-        // Warm-touch the resolver slices this tile will read. Advisory
-        // only — results never depend on it.
-        const std::size_t e_lo = t * static_cast<std::size_t>(tile_entries);
-        const std::size_t e_hi =
-            std::min(e_lo + tile_entries, entry_count) - 1;
-        resolver->warm_touch(hitlist_->entries()[e_lo].block,
-                             hitlist_->entries()[e_hi].block);
-      }
-
-      for (std::uint32_t p = slot_begin; p < slot_end; ++p) {
-        const hitlist::Entry& entry = hitlist_->entries()[shard.tile_entry[p]];
-        const auto targets =
-            hitlist_->targets_into(entry, config.extra_targets_per_block,
-                                   target_seed, shard.targets_scratch);
-        std::uint64_t probe_index = shard.tile_gidx[p];
-        for (std::size_t k = 0; k < targets.size(); ++k) {
-          const net::Ipv4Address target = targets[k];
-          if (multi_target)
-            shard.probed_addresses.push_back(target.value());
-          else
-            ws.addr_by_block[entry.block.index() - block_lo] = target.value();
-          util::SimTime attempt_tx =
-              spec.start + util::SimTime{gap.usec * static_cast<std::int64_t>(
-                                                        probe_index)};
-          double backoff_ms = config.retry_backoff_ms;
-          bool answered = false;
-          std::uint16_t seq = 0;
-          for (int attempt = 0; attempt < max_attempts; ++attempt) {
-            if (attempt > 0) ++shard.faults.retries;
-            bool answered_in_time = false;
-            if (injector != nullptr &&
-                injector->drops_probe(target, spec.round,
-                                      static_cast<std::uint32_t>(attempt))) {
-              ++shard.faults.probes_lost;
-            } else {
-              net::ProbePayload payload;
-              payload.measurement_id = config.measurement_id;
-              payload.tx_time_usec = attempt_tx.usec;
-              payload.original_target = target;
-              net::build_echo_request_into(
-                  shard.probe_bytes, deployment.measurement_address, target,
-                  static_cast<std::uint16_t>(config.measurement_id & 0xffff),
-                  static_cast<std::uint16_t>(probe_index & 0xffff), payload);
-              internet_->probe_into(routes, shard.probe_bytes, attempt_tx,
-                                    spec.round, shard.deliveries,
-                                    shard.reply_bytes, dataplane,
-                                    &resolve_tally);
-              if (injector != nullptr) {
-                injector->apply_reply_faults(
-                    shard.deliveries, entry.block, spec.round,
-                    static_cast<std::uint32_t>(attempt), attempt_tx,
-                    site_count, spec.start, window, shard.faults);
-              } else if (robust) {
-                shard.faults.replies_generated += shard.deliveries.size();
-              }
-              if (!shard.deliveries.empty()) {
-                // All deliveries of one attempt share the same bytes:
-                // parse once, then append a row to each receiving site's
-                // collector buffer.
-                const auto parsed = net::parse_reply_view(shard.reply_bytes);
-                for (const sim::DeliveryView& delivery : shard.deliveries) {
-                  if (delivery.arrival <= attempt_tx + timeout)
-                    answered_in_time = true;
-                  ReplyBuffer& buf =
-                      shard.replies[static_cast<std::size_t>(delivery.site)];
-                  buf.bytes_received += shard.reply_bytes.size();
-                  if (!parsed) {
-                    ++buf.malformed;
-                  } else {
-                    buf.push(delivery.arrival.usec, parsed->probe.tx_time_usec,
-                             probe_index, parsed->ip.source.value(),
-                             parsed->probe.measurement_id, seq);
-                  }
-                  ++seq;
+    for (std::size_t e = begin; e < end; ++e) {
+      const hitlist::Entry& entry = hitlist_->entries()[e];
+      const auto targets =
+          hitlist_->targets_into(entry, config.extra_targets_per_block,
+                                 target_seed, shard.targets_scratch);
+      std::uint64_t probe_index =
+          multi_target ? ws.offset[ws.pos[e]] : ws.pos[e];
+      for (std::size_t k = 0; k < targets.size(); ++k) {
+        const net::Ipv4Address target = targets[k];
+        if (multi_target)
+          shard.probed_addresses.push_back(target.value());
+        else
+          ws.addr_by_block[entry.block.index() - block_lo] = target.value();
+        util::SimTime attempt_tx =
+            spec.start + util::SimTime{gap.usec * static_cast<std::int64_t>(
+                                                      probe_index)};
+        double backoff_ms = config.retry_backoff_ms;
+        bool answered = false;
+        std::uint16_t seq = 0;
+        for (int attempt = 0; attempt < max_attempts; ++attempt) {
+          if (attempt > 0) ++shard.faults.retries;
+          bool answered_in_time = false;
+          if (injector != nullptr &&
+              injector->drops_probe(target, spec.round,
+                                    static_cast<std::uint32_t>(attempt))) {
+            ++shard.faults.probes_lost;
+          } else {
+            net::ProbePayload payload;
+            payload.measurement_id = config.measurement_id;
+            payload.tx_time_usec = attempt_tx.usec;
+            payload.original_target = target;
+            net::build_echo_request_into(
+                shard.probe_bytes, deployment.measurement_address, target,
+                static_cast<std::uint16_t>(config.measurement_id & 0xffff),
+                static_cast<std::uint16_t>(probe_index & 0xffff), payload);
+            internet_->probe_into(routes, shard.probe_bytes, attempt_tx,
+                                  spec.round, shard.deliveries,
+                                  shard.reply_bytes, dataplane,
+                                  &resolve_tally);
+            if (injector != nullptr) {
+              injector->apply_reply_faults(
+                  shard.deliveries, entry.block, spec.round,
+                  static_cast<std::uint32_t>(attempt), attempt_tx,
+                  site_count, spec.start, window, shard.faults);
+            } else if (robust) {
+              shard.faults.replies_generated += shard.deliveries.size();
+            }
+            if (!shard.deliveries.empty()) {
+              // All deliveries of one attempt share the same bytes:
+              // parse once, then append a row to each receiving site's
+              // collector buffer.
+              const auto parsed = net::parse_reply_view(shard.reply_bytes);
+              for (const sim::DeliveryView& delivery : shard.deliveries) {
+                if (delivery.arrival <= attempt_tx + timeout)
+                  answered_in_time = true;
+                ReplyBuffer& buf =
+                    shard.replies[static_cast<std::size_t>(delivery.site)];
+                buf.bytes_received += shard.reply_bytes.size();
+                if (!parsed) {
+                  ++buf.malformed;
+                } else {
+                  buf.push(delivery.arrival.usec, parsed->probe.tx_time_usec,
+                           probe_index, parsed->ip.source.value(),
+                           parsed->probe.measurement_id, seq);
                 }
+                ++seq;
               }
             }
-            if (answered_in_time) {
-              if (attempt > 0) ++shard.faults.recovered;
-              answered = true;
-              break;
-            }
-            attempt_tx += timeout + util::SimTime::from_seconds(
-                                        backoff_ms / 1000.0);
-            backoff_ms *= config.retry_backoff_factor;
           }
-          ++shard.obs_probes;
-          if (answered)
-            ++shard.obs_replied;
-          else
-            ++shard.obs_unanswered;
-          ++probe_index;
-          if (observer != nullptr && ++since_report == stride) {
+          if (answered_in_time) {
+            if (attempt > 0) ++shard.faults.recovered;
+            answered = true;
+            break;
+          }
+          attempt_tx += timeout + util::SimTime::from_seconds(
+                                      backoff_ms / 1000.0);
+          backoff_ms *= config.retry_backoff_factor;
+        }
+        ++shard.obs_probes;
+        if (answered)
+          ++shard.obs_replied;
+        else
+          ++shard.obs_unanswered;
+        ++probe_index;
+        // The only places this worker touches the shared obs layer and
+        // the observer: every `stride` probes, and once at the end.
+        if (++since_report == stride) {
+          sim::InternetSim::flush(dataplane);
+          sim::FlipModel::flush(resolve_tally);
+          if (observer != nullptr) {
             std::lock_guard lock{observer_mutex};
             sent_total += since_report;
-            since_report = 0;
             observer->on_probe_progress(spec, sent_total, total_probes);
           }
+          since_report = 0;
         }
       }
-      // One flush of the tile's dataplane/resolution tallies — the only
-      // time this worker touches the shared obs layer per tile.
-      sim::InternetSim::flush(dataplane);
-      sim::FlipModel::flush(resolve_tally);
     }
+    sim::InternetSim::flush(dataplane);
+    sim::FlipModel::flush(resolve_tally);
     std::size_t reply_caps_after = 0;
     for (const ReplyBuffer& buf : shard.replies)
       reply_caps_after += buf.capacity();
@@ -511,7 +454,7 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
   em.hot_allocs.add(hot_grows);
   arena->note_grow(hot_grows);
   result.map.probes_sent = total_probes + result.faults.retries;
-  result.map.blocks_probed = order.size();
+  result.map.blocks_probed = entry_count;
   if (observer != nullptr) observer->on_fault_stats(spec, result.faults);
 
   // Flush the workers' observability tallies. Labeled per-shard series
@@ -592,12 +535,11 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
 
   // --- central cleaning (paper §4) ----------------------------------------
   // First reply wins over the total order (arrival, site, key, seq), so
-  // the cleaning pass below sees the same sequence for any shard or tile
-  // schedule.
+  // the cleaning pass below sees the same sequence for any shard split.
   std::sort(ws.merged.begin(), ws.merged.end());
   const util::SimTime cutoff =
       spec.start + util::SimTime::from_minutes(config.late_cutoff_minutes);
-  util::arena_reserve(ws.kept_rtts, order.size(), *arena);
+  util::arena_reserve(ws.kept_rtts, entry_count, *arena);
   ws.kept_rtts.clear();
   if (multi_target) {
     // Fallback probed-address index: concatenate the shards' (disjoint)

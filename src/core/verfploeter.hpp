@@ -23,16 +23,17 @@
 // plus per-probe timestamps and ICMP sequence numbers are pure functions
 // of the probe's *global index* in that order. So run():
 //
-//   1. materializes the round's probe order and (in multi-target mode)
-//      prefix-sums the per-entry target counts, giving every probe its
-//      global index up front;
-//   2. splits the order into N *contiguous* chunks of roughly equal probe
-//      count, then each worker walks its chunk in block-range TILES: a
-//      counting sort groups the chunk's positions by entry-index range,
-//      so the resolver/geo/responsiveness rows a tile touches stay
-//      cache-resident while its probes run. Tx times and sequence numbers
-//      are pure functions of the global index, so the walk order cannot
-//      change a single packet. Replies accumulate in per-(shard, site)
+//   1. materializes the round's probe order, its inverse (entry ->
+//      order position) and, in multi-target mode, the prefix sums of the
+//      per-entry target counts, giving every probe its global index up
+//      front;
+//   2. splits the HITLIST, not the order, into N contiguous entry ranges
+//      of equal size; each worker walks its range in ascending entry
+//      (= block) order, so the resolver/geo/responsiveness rows and the
+//      probed-address slots it touches are contiguous and its own. Each
+//      probe keeps its global index, and tx times and sequence numbers
+//      are pure functions of that index, so the walk order cannot change
+//      a single packet. Replies accumulate in per-(shard, site)
 //      structure-of-arrays buffers tagged with (global probe index,
 //      per-probe delivery seq);
 //   3. merges: all shard rows are gathered and sorted by the strict total
@@ -41,9 +42,9 @@
 //      sorted by arrival, would produce. The first-reply-wins cleaning
 //      pass (paper §4) then runs over that sequence.
 //
-// Equal-arrival ties therefore resolve identically for any thread count
-// AND any tile size, and the CatchmentMap, CleaningStats, and per-block
-// RTTs match the one-thread run bit for bit.
+// Equal-arrival ties therefore resolve identically for any thread count,
+// and the CatchmentMap, CleaningStats, and per-block RTTs match the
+// one-thread run bit for bit.
 //
 // Faults and retries preserve the guarantee: the fault plan
 // (sim/fault_injector.hpp) is const-pure like the rest of sim/, retry

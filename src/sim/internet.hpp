@@ -51,8 +51,8 @@ struct DeliveryView {
 
 /// Batched dataplane counters: probe_into accumulates here instead of
 /// touching the striped metric counters per probe; the caller flushes
-/// them via InternetSim::flush (the engine once per tile). Field meanings
-/// match the vp_sim_* counters one-to-one.
+/// them via InternetSim::flush (the engine every few thousand probes).
+/// Field meanings match the vp_sim_* counters one-to-one.
 struct DataplaneTally {
   std::uint64_t probes = 0;
   std::uint64_t malformed = 0;

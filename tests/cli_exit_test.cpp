@@ -21,6 +21,7 @@
 
 namespace {
 
+constexpr int kUsageExit = 2;
 constexpr int kResumedExit = 3;
 constexpr int kWriteFailedExit = 6;
 constexpr int kInterruptedExit = 7;
@@ -92,6 +93,20 @@ TEST(CliExit, WritablePathsExitZeroAndLeaveArtifacts) {
   EXPECT_TRUE(file_exists(json));
   ASSERT_EQ(run_vpctl(kScan + " --no-metrics --metrics-out " + prom), 0);
   EXPECT_TRUE(file_exists(prom));
+}
+
+TEST(CliExit, MalformedIntegerFlagsExit2) {
+  // Integer flags parse the whole token and range-check it: -1 rounds
+  // used to wrap to 4294967295 and die allocating, "abc" threads used to
+  // read as 0 (= every hardware thread).
+  EXPECT_EQ(run_vpctl("campaign --scale 0.03 --rounds -1"), kUsageExit);
+  EXPECT_EQ(run_vpctl(kScan + " --threads abc"), kUsageExit);
+}
+
+TEST(CliExit, PrependDepthMustBeAWholeIntegerInRange) {
+  for (const char* bad : {"LAX=abc", "LAX=-5", "LAX=2x"})
+    EXPECT_EQ(run_vpctl(kScan + " --prepend " + bad), kUsageExit) << bad;
+  EXPECT_EQ(run_vpctl(kScan + " --prepend LAX=2"), 0);
 }
 
 TEST(CliExit, PlaybookOutUnwritableExits6) {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -89,8 +88,8 @@ TEST_F(ProbeEngineTest, ParallelRoundIsBitIdenticalToSerial) {
 }
 
 TEST_F(ProbeEngineTest, ParallelRoundIsBitIdenticalWithExtraTargets) {
-  // Multi-target probing makes per-entry probe counts uneven, exercising
-  // the prefix-sum shard boundaries.
+  // Multi-target probing makes per-entry probe counts uneven, so each
+  // entry's first probe index comes from the prefix sums over the order.
   RoundSpec spec;
   spec.probe.measurement_id = 4200;
   spec.probe.extra_targets_per_block = 2;
@@ -163,37 +162,37 @@ class RecordingObserver : public RoundObserver {
   std::vector<std::uint64_t> collected;
 };
 
-TEST_F(ProbeEngineTest, TileSizeNeverChangesTheResult) {
-  // The block-range tiling is a pure walk-order optimization: every
-  // packet field, timestamp, and fault draw is a function of the probe's
-  // global index, so ANY tile size — one entry per tile, tiny tiles,
-  // the LLC-sized default, or one tile per shard — must produce the
-  // bit-identical round, clean and faulted, at any thread count.
+TEST_F(ProbeEngineTest, ShardSplitNeverChangesTheResult) {
+  // Each shard walks its own contiguous hitlist range in ascending block
+  // order while every packet field, timestamp, and fault draw stays a
+  // function of the probe's global index, so ANY split must produce the
+  // bit-identical round: clean, faulted, and with extra targets. Uneven
+  // thread counts put shard boundaries mid-AS, and an alias reply's
+  // source can lie in another block, whose probed-address slot another
+  // shard wrote.
   const sim::FaultInjector faults{sim::FaultPlan::from_seed(9001)};
-  for (const bool faulted : {false, true}) {
+  enum class Mode { kClean, kFaulted, kExtraTargets };
+  for (const Mode mode : {Mode::kClean, Mode::kFaulted, Mode::kExtraTargets}) {
+    const char* name = mode == Mode::kClean     ? "clean"
+                       : mode == Mode::kFaulted ? "faulted"
+                                                : "extra targets";
     RoundSpec spec;
-    spec.probe.measurement_id = faulted ? 4650 : 4600;
+    spec.probe.measurement_id = 4600 + 50 * static_cast<std::uint32_t>(mode);
     spec.round = 2;
     spec.start = util::SimTime::from_minutes(30);
-    if (faulted) spec.faults = &faults;
+    if (mode == Mode::kFaulted) spec.faults = &faults;
+    if (mode == Mode::kExtraTargets) spec.probe.extra_targets_per_block = 2;
 
     spec.threads = 1;
-    spec.tile_entries = 0;  // auto
     const RoundResult baseline = scenario().verfploeter().run(routes(), spec);
     EXPECT_GT(baseline.map.mapped_blocks(), 0u);
 
-    for (const unsigned threads : {1u, 4u, 8u}) {
-      for (const std::uint32_t tile :
-           {std::uint32_t{1}, std::uint32_t{4096}, std::uint32_t{65536},
-            std::numeric_limits<std::uint32_t>::max()}) {
-        spec.threads = threads;
-        spec.tile_entries = tile;
-        const RoundResult tiled = scenario().verfploeter().run(routes(), spec);
-        char label[64];
-        std::snprintf(label, sizeof label, "%s threads=%u tile=%u",
-                      faulted ? "faulted" : "clean", threads, tile);
-        expect_identical(baseline, tiled, label);
-      }
+    for (const unsigned threads : {2u, 3u, 4u, 7u, 8u}) {
+      spec.threads = threads;
+      const RoundResult split = scenario().verfploeter().run(routes(), spec);
+      char label[64];
+      std::snprintf(label, sizeof label, "%s threads=%u", name, threads);
+      expect_identical(baseline, split, label);
     }
   }
 }
@@ -227,34 +226,40 @@ TEST_F(ProbeEngineTest, SteadyStateRoundsAreAllocationFreeInTheShardLoop) {
     const obs::Counter* reuses_;
   };
 
-  const std::string journal_path =
-      "/tmp/vp_probe_engine_alloc_" +
-      std::to_string(static_cast<long>(::getpid())) + ".bin";
-  std::remove(journal_path.c_str());
+  // Clean, and with extra targets per block, whose per-shard probed-
+  // address list is sized from the shard's entry range.
+  for (const int extra : {0, 2}) {
+    const std::string journal_path =
+        "/tmp/vp_probe_engine_alloc_" +
+        std::to_string(static_cast<long>(::getpid())) + ".bin";
+    std::remove(journal_path.c_str());
 
-  ProbeConfig probe;
-  probe.measurement_id = 4700;
-  AllocSampler sampler{hot, reuses};
-  const auto report = Campaign{scenario().verfploeter(), routes()}
-                          .probe(probe)
-                          .rounds(5)
-                          .interval(util::SimTime::from_minutes(15))
-                          .threads(2)
-                          .journal(journal_path)
-                          .observe(sampler)
-                          .run_reported();
-  std::remove(journal_path.c_str());
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(sampler.hot_after.size(), 5u);
+    ProbeConfig probe;
+    probe.measurement_id = 4700;
+    probe.extra_targets_per_block = extra;
+    AllocSampler sampler{hot, reuses};
+    const auto report = Campaign{scenario().verfploeter(), routes()}
+                            .probe(probe)
+                            .rounds(5)
+                            .interval(util::SimTime::from_minutes(15))
+                            .threads(2)
+                            .journal(journal_path)
+                            .observe(sampler)
+                            .run_reported();
+    std::remove(journal_path.c_str());
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(sampler.hot_after.size(), 5u);
 
-  // Round 1 starts cold and rounds 1-2 may still ratchet reply-buffer
-  // capacities (reply counts vary slightly per round); from round 3 on
-  // the arena is steady state and growth must be exactly zero.
-  for (std::size_t r = 2; r < sampler.hot_after.size(); ++r)
-    EXPECT_EQ(sampler.hot_after[r], sampler.hot_after[r - 1])
-        << "round " << r + 1 << " grew a shard-loop buffer";
-  // Every round after the first checked out a warm arena.
-  EXPECT_GE(sampler.reuses_after.back() - sampler.reuses_after.front(), 4u);
+    // Round 1 starts cold and rounds 1-2 may still ratchet reply-buffer
+    // capacities (reply counts vary slightly per round); from round 3 on
+    // the arena is steady state and growth must be exactly zero.
+    for (std::size_t r = 2; r < sampler.hot_after.size(); ++r)
+      EXPECT_EQ(sampler.hot_after[r], sampler.hot_after[r - 1])
+          << "extra=" << extra << ": round " << r + 1
+          << " grew a shard-loop buffer";
+    // Every round after the first checked out a warm arena.
+    EXPECT_GE(sampler.reuses_after.back() - sampler.reuses_after.front(), 4u);
+  }
 }
 
 TEST_F(ProbeEngineTest, ObserverSeesConsistentCounts) {

@@ -1,8 +1,8 @@
 // Golden digests of whole measurement rounds. Every other determinism
-// proof compares runs inside one binary (threads x tiles x cache x
-// faults), so a change that moves every run the same way — a reordered
-// fault draw, a different packet byte, a cleaning rule applied in another
-// order — passes them all. This test pins the round's output bytes
+// proof compares runs inside one binary (threads x cache x faults), so
+// a change that moves every run the same way — a reordered fault draw, a
+// different packet byte, a cleaning rule applied in another order —
+// passes them all. This test pins the round's output bytes
 // across commits instead: for a small B-Root round, clean, under a
 // seeded fault plan with retries, and with extra targets per block, it
 // records the CRC-32 of the catchment CSV plus every CleaningStats and

@@ -163,11 +163,9 @@ class CampaignEquivalence : public ::testing::Test {
 
   /// One measurement round serialized to CSV. `cached` routes through the
   /// scenario's RouteCache with catchment precomputation on; uncached
-  /// recomputes the table from scratch and resolves per probe. `tile`
-  /// sets the engine's block-range tile size (0 = auto-sized for LLC).
+  /// recomputes the table from scratch and resolves per probe.
   static std::string run_csv(unsigned threads, bool cached,
-                             const sim::FaultInjector* faults = nullptr,
-                             std::uint32_t tile = 0) {
+                             const sim::FaultInjector* faults = nullptr) {
     bgp::set_catchment_cache_enabled(cached);
     std::shared_ptr<const bgp::RoutingTable> shared;
     std::optional<bgp::RoutingTable> fresh;
@@ -189,7 +187,6 @@ class CampaignEquivalence : public ::testing::Test {
     spec.round = 3;
     spec.threads = threads;
     spec.faults = faults;
-    spec.tile_entries = tile;
     const core::RoundResult result =
         scenario_->verfploeter().run(*routes, spec);
     bgp::set_catchment_cache_enabled(true);
@@ -207,16 +204,14 @@ TEST_F(CampaignEquivalence, CsvByteIdenticalCacheOnOrOff) {
   CacheGuard guard;
   const std::string baseline = run_csv(1, /*cached=*/false);
   ASSERT_FALSE(baseline.empty());
-  // The tile dimension crosses the cache dimension on purpose: tiling
-  // reorders when the resolver is consulted, so every (threads, cache,
-  // tile) combination must still serialize the same bytes.
+  // The thread dimension crosses the cache dimension on purpose: the
+  // shard split reorders when the resolver is consulted, so every
+  // (threads, cache) combination must still serialize the same bytes.
   for (const unsigned threads : {1u, 4u, 8u}) {
-    for (const std::uint32_t tile : {0u, 1u, 65536u}) {
-      EXPECT_EQ(run_csv(threads, true, nullptr, tile), baseline)
-          << "cached, threads=" << threads << ", tile=" << tile;
-      EXPECT_EQ(run_csv(threads, false, nullptr, tile), baseline)
-          << "uncached, threads=" << threads << ", tile=" << tile;
-    }
+    EXPECT_EQ(run_csv(threads, true), baseline)
+        << "cached, threads=" << threads;
+    EXPECT_EQ(run_csv(threads, false), baseline)
+        << "uncached, threads=" << threads;
   }
 }
 
@@ -226,12 +221,10 @@ TEST_F(CampaignEquivalence, CsvByteIdenticalUnderFaults) {
   const std::string baseline = run_csv(1, false, &injector);
   ASSERT_FALSE(baseline.empty());
   for (const unsigned threads : {1u, 4u, 8u}) {
-    for (const std::uint32_t tile : {0u, 1u, 65536u}) {
-      EXPECT_EQ(run_csv(threads, true, &injector, tile), baseline)
-          << "cached, threads=" << threads << ", tile=" << tile;
-      EXPECT_EQ(run_csv(threads, false, &injector, tile), baseline)
-          << "uncached, threads=" << threads << ", tile=" << tile;
-    }
+    EXPECT_EQ(run_csv(threads, true, &injector), baseline)
+        << "cached, threads=" << threads;
+    EXPECT_EQ(run_csv(threads, false, &injector), baseline)
+        << "uncached, threads=" << threads;
   }
 }
 

@@ -3,7 +3,7 @@
 #
 # Runs one full Verfploeter round (`vpctl gen --probe`) at 120k, 1.3M and
 # 6.4M /24 blocks under `perf stat -e cache-misses,LLC-load-misses` and
-# prints a per-scale table, so the effect of the block-range tiling and
+# prints a per-scale table, so the effect of the block-range sharding and
 # the SoA reply buffers shows up as counter deltas instead of vibes.
 # Containers without perf (or without perf_event_paranoid access) fall
 # back to `/usr/bin/time -v`, which still reports wall time and page
