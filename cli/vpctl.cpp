@@ -23,20 +23,18 @@
 // Global flags: --scale F (Internet size, default 0.4), --seed N,
 // --threads N (probe workers per round; 0 = all hardware threads).
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "agility/attack.hpp"
 #include "agility/playbook.hpp"
 #include "analysis/coverage.hpp"
@@ -62,70 +60,13 @@ using namespace vp;
 
 namespace {
 
-/// A numeric flag whose value is not a whole integer in its range. Thrown
-/// where the flag is read; main turns it into the usage message, exit 2.
-struct BadFlag {
-  std::string key;
-  std::string value;
-  std::string lo;
-  std::string hi;
-};
-
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
-
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
-  /// Integer flag: the whole token must be a decimal T in [lo, hi]
-  /// ("abc", "2x", "-1" for an unsigned flag, overflow: BadFlag).
-  template <typename T>
-  T get_int(const std::string& key, T fallback, T lo = T{0},
-            T hi = std::numeric_limits<T>::max()) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
-    const std::string& text = it->second;
-    T value{};
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || end != text.data() + text.size() || value < lo ||
-        value > hi)
-      throw BadFlag{key, text, std::to_string(lo), std::to_string(hi)};
-    return value;
-  }
-};
+using cli::Args;
+using cli::kMaxMs;
 
 /// Flags that take no value.
-bool is_boolean_flag(std::string_view key) {
-  return key == "resume" || key == "no-metrics" || key == "no-route-cache" ||
-         key == "delta-sweep" || key == "probe" || key == "no-withdraw" ||
-         key == "exhaustive";
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  if (argc < 2) return std::nullopt;
-  Args args;
-  args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (!arg.starts_with("--")) return std::nullopt;
-    const std::string key{arg.substr(2)};
-    if (is_boolean_flag(key)) {
-      args.options[key] = "1";
-      continue;
-    }
-    if (i + 1 >= argc) return std::nullopt;
-    args.options[key] = argv[++i];
-  }
-  return args;
-}
+constexpr std::string_view kBooleanFlags[] = {
+    "resume",      "no-metrics", "no-route-cache", "delta-sweep",
+    "probe",       "no-withdraw", "exhaustive"};
 
 /// Exit codes beyond 0/1/2 (ok / runtime error / usage), so scripts and
 /// the crash harness can tell resume outcomes apart.
@@ -262,7 +203,7 @@ int usage() {
 
 analysis::Scenario make_scenario(const Args& args) {
   analysis::ScenarioConfig config;
-  config.scale = args.get_double("scale", 0.4);
+  config.scale = args.get_double("scale", 0.4, 1e-3, 1e3);
   config.seed = args.get_int<std::uint64_t>("seed", 42);
   config.route_cache = !args.has("no-route-cache");
   if (args.has("route-cache-bytes")) {
@@ -336,8 +277,8 @@ unsigned probe_threads(const Args& args, unsigned fallback = 1) {
 /// Retry/backoff knobs shared by scan-style commands and campaigns.
 void apply_retry_args(core::ProbeConfig& probe, const Args& args) {
   probe.max_retries = args.get_int("retries", 0, 0, 100);
-  probe.probe_timeout_ms = args.get_double("timeout-ms", 1000.0);
-  probe.retry_backoff_ms = args.get_double("backoff-ms", 250.0);
+  probe.probe_timeout_ms = args.get_double("timeout-ms", 1000.0, 0.0, kMaxMs);
+  probe.retry_backoff_ms = args.get_double("backoff-ms", 250.0, 0.0, kMaxMs);
 }
 
 /// The seeded fault plan behind --fault-seed (nullopt = run clean).
@@ -511,7 +452,7 @@ int cmd_campaign(const Args& args) {
   const auto scenario = make_scenario(args);
   const auto& deployment = pick_deployment(scenario, args);
   const auto rounds = args.get_int<std::uint32_t>("rounds", 16, 1, 100000);
-  const double interval = args.get_double("interval-min", 15.0);
+  const double interval = args.get_double("interval-min", 15.0, 0.0, 525'600.0);
   const auto routes_ptr = scenario.route(deployment);
   const auto& routes = *routes_ptr;
   core::ProbeConfig probe;
@@ -732,8 +673,8 @@ int cmd_gen(const Args& args) {
     gen.transit_count = args.get_int<std::uint32_t>("gen-transits", 16, 1);
     if (args.has("gen-shard"))
       gen.shard_size = args.get_int<std::uint32_t>("gen-shard", 4096, 1);
-    gen.multihoming_mean = args.get_double("multihoming", 0.35);
-    gen.peering_density = args.get_double("peering", 0.15);
+    gen.multihoming_mean = args.get_double("multihoming", 0.35, 0.0, 64.0);
+    gen.peering_density = args.get_double("peering", 0.15, 0.0, 1.0);
     gen.threads = probe_threads(args, 0);
     std::printf("generating %s ASes / %s target blocks (seed %llu)...\n",
                 util::with_commas(gen.as_count).c_str(),
@@ -911,7 +852,7 @@ int cmd_playbook(const Args& args) {
   // cache every candidate is routed and scored from scratch. The
   // playbook is bit-identical either way (cli_exit_test proves it).
   config.use_delta = !args.has("no-route-cache");
-  config.capacity_headroom = args.get_double("headroom", 1.6);
+  config.capacity_headroom = args.get_double("headroom", 1.6, 0.1, 1e3);
   config.top_k = args.get_int<std::size_t>("top", 5, 1);
 
   anycast::SiteId target = anycast::kUnknownSite;
@@ -942,7 +883,7 @@ int cmd_playbook(const Args& args) {
       agility::AttackSpec spec;
       spec.kind = *kind;
       spec.seed = args.get_int<std::uint64_t>("attack-seed", 1);
-      spec.magnitude = args.get_double("magnitude", 4.0);
+      spec.magnitude = args.get_double("magnitude", 4.0, 0.0, 1e6);
       spec.target_site = target;
       attacks.push_back(spec);
     }
@@ -1005,32 +946,32 @@ int cmd_playbook(const Args& args) {
   return 0;
 }
 
-int dispatch(const Args& args) {
-  if (args.command == "scan") return cmd_scan(args);
-  if (args.command == "sweep") return cmd_sweep(args);
-  if (args.command == "campaign") return cmd_campaign(args);
-  if (args.command == "atlas") return cmd_atlas(args);
-  if (args.command == "predict") return cmd_predict(args);
-  if (args.command == "recommend") return cmd_recommend(args);
-  if (args.command == "export-load") return cmd_export_load(args);
-  if (args.command == "gen") return cmd_gen(args);
-  if (args.command == "playbook") return cmd_playbook(args);
+int dispatch(std::string_view command, const Args& args) {
+  if (command == "scan") return cmd_scan(args);
+  if (command == "sweep") return cmd_sweep(args);
+  if (command == "campaign") return cmd_campaign(args);
+  if (command == "atlas") return cmd_atlas(args);
+  if (command == "predict") return cmd_predict(args);
+  if (command == "recommend") return cmd_recommend(args);
+  if (command == "export-load") return cmd_export_load(args);
+  if (command == "gen") return cmd_gen(args);
+  if (command == "playbook") return cmd_playbook(args);
   return usage();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  if (argc < 2) return usage();
+  const auto args = cli::parse_args({argv + 2, argv + argc}, kBooleanFlags);
   if (!args) return usage();
   if (args->has("no-metrics")) obs::metrics().set_enabled(false);
   int rc = 0;
   try {
-    rc = dispatch(*args);
-  } catch (const BadFlag& bad) {
-    std::fprintf(stderr, "error: --%s %s: want an integer in %s..%s\n",
-                 bad.key.c_str(), bad.value.c_str(), bad.lo.c_str(),
-                 bad.hi.c_str());
+    rc = dispatch(argv[1], *args);
+  } catch (const cli::BadFlag& bad) {
+    std::fprintf(stderr, "error: --%s %s: want %s\n", bad.key.c_str(),
+                 bad.value.c_str(), bad.want.c_str());
     return usage();
   }
   if (args->has("metrics-out")) {

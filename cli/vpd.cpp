@@ -25,11 +25,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <string>
 #include <thread>
 
+#include "args.hpp"
 #include "analysis/scenario.hpp"
 #include "core/journal.hpp"
 #include "net/http_server.hpp"
@@ -43,44 +43,12 @@ using namespace vp;
 
 namespace {
 
-struct Args {
-  std::map<std::string, std::string> options;
+using cli::Args;
+using cli::kMaxMs;
 
-  bool has(const std::string& key) const { return options.count(key) > 0; }
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
-  }
-  double get_double(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
-  long get_long(const std::string& key, long fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::atol(it->second.c_str());
-  }
-};
-
-bool is_boolean_flag(std::string_view key) {
-  return key == "resume" || key == "no-metrics" || key == "no-route-cache" ||
-         key == "exit-after-rounds";
-}
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (!arg.starts_with("--")) return std::nullopt;
-    const std::string key{arg.substr(2)};
-    if (is_boolean_flag(key)) {
-      args.options[key] = "1";
-      continue;
-    }
-    if (i + 1 >= argc) return std::nullopt;
-    args.options[key] = argv[++i];
-  }
-  return args;
-}
+/// Flags that take no value.
+constexpr std::string_view kBooleanFlags[] = {
+    "resume", "no-metrics", "no-route-cache", "exit-after-rounds"};
 
 constexpr int kExitFingerprintMismatch = 4;  // journal is another campaign's
 constexpr int kExitCorruptJournal = 5;       // checksum failure, refused
@@ -141,17 +109,52 @@ void on_signal(int) { g_signalled = 1; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
+  const auto args = cli::parse_args({argv + 1, argv + argc}, kBooleanFlags);
   if (!args) return usage();
+
+  // Every numeric flag is read here, before anything slow starts, so a
+  // bad value exits 2 at once.
+  analysis::ScenarioConfig scenario_config;
+  service::DaemonConfig config;
+  std::optional<std::uint64_t> fault_seed;
+  std::optional<std::uint16_t> listen_port;
+  try {
+    scenario_config.scale = args->get_double("scale", 0.4, 1e-3, 1e3);
+    scenario_config.seed = args->get_int<std::uint64_t>("seed", 42);
+    config.probe.max_retries = args->get_int("retries", 0, 0, 100);
+    config.probe.probe_timeout_ms =
+        args->get_double("timeout-ms", 1000.0, 0.0, kMaxMs);
+    config.probe.retry_backoff_ms =
+        args->get_double("backoff-ms", 250.0, 0.0, kMaxMs);
+    config.rounds =
+        args->get_int<std::uint32_t>("rounds", 0, 0, config.max_rounds);
+    config.sim_interval = util::SimTime::from_minutes(
+        args->get_double("interval-min", 15.0, 0.0, 525'600.0));
+    config.cadence_ms = args->get_double("cadence-ms", 0.0, 0.0, kMaxMs);
+    config.threads = args->get_int<unsigned>("threads", 1, 0, 256);
+    config.watchdog_ms =
+        args->get_double("watchdog-ms", 30'000.0, 1.0, kMaxMs);
+    config.round_retries = args->get_int("round-retries", 1, 0, 100);
+    config.stale_after_ms =
+        args->get_double("stale-after-ms", 0.0, 0.0, kMaxMs);
+    if (args->has("fault-seed"))
+      fault_seed = args->get_int<std::uint64_t>("fault-seed", 1);
+    if (args->has("listen"))
+      listen_port = args->get_int<std::uint16_t>("listen", 0);
+  } catch (const cli::BadFlag& bad) {
+    std::fprintf(stderr, "error: --%s %s: want %s\n", bad.key.c_str(),
+                 bad.value.c_str(), bad.want.c_str());
+    return usage();
+  }
+  scenario_config.route_cache = !args->has("no-route-cache");
+  config.probe.measurement_id = 100;  // vpctl campaign's base id
+  config.journal_path = args->get("journal", "");
+  config.resume = args->has("resume");
   if (args->has("no-metrics")) obs::metrics().set_enabled(false);
 
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
 
-  analysis::ScenarioConfig scenario_config;
-  scenario_config.scale = args->get_double("scale", 0.4);
-  scenario_config.seed = static_cast<std::uint64_t>(args->get_long("seed", 42));
-  scenario_config.route_cache = !args->has("no-route-cache");
   std::printf("building simulated Internet (scale %.2f, seed %llu)...\n",
               scenario_config.scale,
               static_cast<unsigned long long>(scenario_config.seed));
@@ -160,43 +163,24 @@ int main(int argc, char** argv) {
       args->get("deployment", "broot") == "tangled" ? scenario.tangled()
                                                     : scenario.broot();
 
-  service::DaemonConfig config;
-  config.probe.measurement_id = 100;  // vpctl campaign's base id
-  config.probe.max_retries = static_cast<int>(args->get_long("retries", 0));
-  config.probe.probe_timeout_ms = args->get_double("timeout-ms", 1000.0);
-  config.probe.retry_backoff_ms = args->get_double("backoff-ms", 250.0);
-  config.rounds = static_cast<std::uint32_t>(args->get_long("rounds", 0));
-  config.sim_interval =
-      util::SimTime::from_minutes(args->get_double("interval-min", 15.0));
-  config.cadence_ms = args->get_double("cadence-ms", 0.0);
-  config.threads = static_cast<unsigned>(args->get_long("threads", 1));
-  config.watchdog_ms = args->get_double("watchdog-ms", 30'000.0);
-  config.round_retries = static_cast<int>(args->get_long("round-retries", 1));
-  config.stale_after_ms = args->get_double("stale-after-ms", 0.0);
-  config.journal_path = args->get("journal", "");
-  config.resume = args->has("resume");
-
   std::optional<sim::FaultInjector> injector;
-  if (args->has("fault-seed")) {
-    const auto seed =
-        static_cast<std::uint64_t>(args->get_long("fault-seed", 1));
+  if (fault_seed) {
     std::printf("injecting faults (plan seed %llu)\n",
-                static_cast<unsigned long long>(seed));
-    injector.emplace(sim::FaultPlan::from_seed(seed));
+                static_cast<unsigned long long>(*fault_seed));
+    injector.emplace(sim::FaultPlan::from_seed(*fault_seed));
     config.faults = &*injector;
   }
 
   service::Daemon daemon{scenario, deployment, config};
 
   net::HttpServer server;
-  if (args->has("listen")) {
-    const auto port =
-        static_cast<std::uint16_t>(args->get_long("listen", 0));
-    if (!server.start(port, [&daemon](const net::HttpRequest& request) {
-          return daemon.handle(request);
-        })) {
+  if (listen_port) {
+    if (!server.start(*listen_port,
+                      [&daemon](const net::HttpRequest& request) {
+                        return daemon.handle(request);
+                      })) {
       std::fprintf(stderr, "error: cannot bind 127.0.0.1:%u\n",
-                   static_cast<unsigned>(port));
+                   static_cast<unsigned>(*listen_port));
       return 1;
     }
     std::printf("serving on 127.0.0.1:%u\n",
@@ -220,7 +204,7 @@ int main(int argc, char** argv) {
   // With a listener the daemon keeps serving after the round budget is
   // spent (that is the point of a daemon); --exit-after-rounds turns it
   // back into a journal-producing batch run for the chaos harness.
-  const bool park = args->has("listen") && !args->has("exit-after-rounds");
+  const bool park = listen_port && !args->has("exit-after-rounds");
   while (!g_signalled &&
          (park || !rounds_done.load(std::memory_order_acquire))) {
     std::this_thread::sleep_for(std::chrono::milliseconds{50});

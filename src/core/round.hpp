@@ -5,7 +5,7 @@
 // round index (which drives every stochastic process in the simulator),
 // the virtual start time, and how many worker shards to probe with. Two
 // runs of the same spec produce bit-identical results for ANY thread
-// count; see core/verfploeter.hpp for how the merge guarantees this.
+// count; see core/verfploeter.hpp for how the engine guarantees this.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,7 @@ struct ProbeConfig {
   /// work — we implement them). Retries never shift other probes' tx
   /// times: attempt a of probe k goes out at
   ///   start + k/rate + a*timeout + backoff*(factor^0 + ... + factor^(a-1)),
-  /// a pure function of (k, a), which is what keeps the sharded merge
+  /// a pure function of (k, a), which is what keeps the sharded round
   /// bit-identical for any thread count.
   int max_retries = 0;
   /// How long the prober waits for a reply before declaring an attempt
@@ -66,7 +66,7 @@ struct RoundSpec {
   /// timestamp byte-identical to the fault-free engine.
   const sim::FaultInjector* faults = nullptr;
   /// Optional cross-round scratch arena (must outlive the run). The
-  /// engine keeps its probe-order, reply-buffer and per-shard workspaces
+  /// engine keeps its probe-order, reply-bucket and per-shard workspaces
   /// here so round N+1 reuses round N's allocations; null means the run
   /// allocates privately. Purely a performance knob: results are
   /// bit-identical with or without it, but an arena must not be shared
@@ -93,7 +93,7 @@ struct RoundResult {
 /// in RoundMetrics ever feeds back into probe decisions or results —
 /// catchments stay bit-identical whether anyone looks at this or not.
 struct RoundMetrics {
-  double wall_ms = 0.0;         ///< whole run(): plan + probe + merge + clean
+  double wall_ms = 0.0;         ///< whole run(): plan + probe + clean
   double probe_phase_ms = 0.0;  ///< worker shards running
   std::uint64_t probes_sent = 0;    ///< incl. retries
   std::uint64_t replies_raw = 0;    ///< before cleaning
@@ -124,7 +124,7 @@ class RoundObserver {
     (void)spec, (void)sent, (void)total;
   }
 
-  /// All collectors merged: raw reply counts per site, before cleaning.
+  /// All collectors summed: raw reply counts per site, before cleaning.
   virtual void on_replies_collected(
       const RoundSpec& spec, const std::vector<std::uint64_t>& per_site) {
     (void)spec, (void)per_site;

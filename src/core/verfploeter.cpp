@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,93 +16,83 @@ namespace vp::core {
 
 namespace {
 
-/// Structure-of-arrays reply accumulator, one per (shard, site): the
-/// site's collector. Columns keep their capacity across rounds via the
-/// round arena, so steady-state appends never allocate and each column
-/// streams sequentially through cache.
+/// One parsed reply on its way from a site's collector to the map. `off`
+/// is the block of its source, relative to the hitlist's block span;
 /// `key` is the probe's GLOBAL index in the round's probe order and `seq`
-/// the per-probe delivery counter, in append order across attempts —
-/// together they are the merge's tie-break (see CleanRecord).
-struct ReplyBuffer {
-  std::vector<std::int64_t> arrival_usec;
-  std::vector<std::int64_t> tx_usec;
-  std::vector<std::uint64_t> key;
-  std::vector<std::uint32_t> source;
-  std::vector<std::uint32_t> measurement_id;
-  std::vector<std::uint16_t> seq;
-  std::uint64_t malformed = 0;
-  std::uint64_t bytes_received = 0;
-
-  std::size_t size() const { return arrival_usec.size(); }
-
-  void push(std::int64_t arrival, std::int64_t tx, std::uint64_t probe_key,
-            std::uint32_t src, std::uint32_t mid, std::uint16_t delivery_seq) {
-    arrival_usec.push_back(arrival);
-    tx_usec.push_back(tx);
-    key.push_back(probe_key);
-    source.push_back(src);
-    measurement_id.push_back(mid);
-    seq.push_back(delivery_seq);
-  }
-
-  void clear() {
-    arrival_usec.clear();
-    tx_usec.clear();
-    key.clear();
-    source.clear();
-    measurement_id.clear();
-    seq.clear();
-    malformed = 0;
-    bytes_received = 0;
-  }
-
-  std::size_t capacity() const { return arrival_usec.capacity(); }
-};
-
-/// One merged reply in the cleaning array. `key` is the probe's global
-/// index in the round's probe order and `seq` its per-probe delivery
-/// counter (append order across attempts), so (arrival, site, key, seq)
-/// is a strict total order — (key, seq) is unique per record. It is the
-/// order of a serial walk that appended each site's replies in ascending
-/// (probe index, seq) and then stable-sorted by arrival. Making that
-/// order explicit in the comparator frees every shard to produce its
-/// records in any processing order — which is what lets each shard walk
-/// its block range in ascending entry order while the probe indices it
-/// stamps are scattered across the whole round.
-struct CleanRecord {
-  std::int64_t arrival_usec = 0;
-  std::int64_t tx_usec = 0;
-  std::uint64_t key = 0;
+/// its per-probe delivery counter (append order across attempts), so
+/// (off, arrival, site, key, seq) is a strict total order — (key, seq) is
+/// unique per record. Within one block it is the order of a serial walk
+/// that appended each site's replies in ascending (probe index, seq) and
+/// then stable-sorted by arrival, so "first reply wins" is the first
+/// solicited record of the block's run. Making that order explicit frees
+/// every shard to produce its records in any processing order.
+struct Reply {
+  std::uint32_t off = 0;
   std::uint32_t source = 0;
-  std::uint32_t measurement_id = 0;
+  std::int64_t arrival_usec = 0;
+  std::uint64_t key = 0;
+  float rtt_ms = 0.0f;
   std::uint16_t seq = 0;
   anycast::SiteId site = anycast::kUnknownSite;
 
-  friend bool operator<(const CleanRecord& a, const CleanRecord& b) {
-    if (a.arrival_usec != b.arrival_usec) return a.arrival_usec < b.arrival_usec;
+  friend bool operator<(const Reply& a, const Reply& b) {
+    if (a.off != b.off) return a.off < b.off;
+    if (a.arrival_usec != b.arrival_usec)
+      return a.arrival_usec < b.arrival_usec;
     if (a.site != b.site) return a.site < b.site;
     if (a.key != b.key) return a.key < b.key;
     return a.seq < b.seq;
   }
 };
+static_assert(sizeof(Reply) == 32);
 
-/// One worker's cross-round state. Nothing here is shared while the probe
-/// phase runs; the coordinator reads it after the workers join. Lives in
-/// the round arena so round N+1 starts with round N's capacities.
+/// One site's collector volume in one shard: records parsed, packets
+/// that failed to parse, and bytes received.
+struct SiteTally {
+  std::uint64_t parsed = 0;
+  std::uint64_t malformed = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Sizes a reply bucket for the next round; each growth counts against
+/// vp_engine_hot_allocs_total (flat from round 3 of an arena-backed
+/// campaign). Reply counts jitter between rounds, the small cross-shard
+/// buckets by more than an eighth, so a bucket with less than an eighth
+/// plus 64 records of headroom over this round's `n` gets twice that. So
+/// does a bucket the probe loop grew (`grew`): push_back's doubling can
+/// leave it just short of a slightly larger round.
+void size_for_next_round(std::vector<Reply>& bucket, std::size_t n,
+                         bool grew, std::uint64_t& grows) {
+  const std::size_t want = n + n / 8 + 64;
+  if (bucket.capacity() < want || (grew && bucket.capacity() < 2 * want)) {
+    bucket.reserve(2 * want);
+    ++grows;
+  }
+}
+
+/// One worker's cross-round state. During the probe phase only its
+/// worker touches it; during the owner phase owner o reads and clears
+/// every shard's `owned[o]` bucket and nothing else of the other shards.
+/// Lives in the round arena so round N+1 starts with round N's
+/// capacities.
 struct ShardWs {
-  std::vector<ReplyBuffer> replies;  // one per site
+  // Replies bound for each owner's block range; after the owner phase
+  // owned[this shard] holds this owner's kept replies in block order.
+  std::vector<std::vector<Reply>> owned;
+  std::vector<std::size_t> start_caps;  // owned[o].capacity() at probe start
+  std::vector<SiteTally> sites;  // one per site
   std::vector<net::Ipv4Address> targets_scratch;
   std::vector<std::uint8_t> probe_bytes;
   std::vector<std::uint8_t> reply_bytes;
   std::vector<sim::DeliveryView> deliveries;
-  std::vector<std::uint32_t> probed_addresses;  // extra-targets mode only
-  sim::FaultStats faults;  // summed at merge: order-invariant
+  CleaningStats cleaning;  // verdicts this shard counted; summed
+  sim::FaultStats faults;  // summed after the probe phase
   // Observability tallies (plain ints: private to the worker, flushed
   // into the registry by the coordinator — zero hot-path contention).
   std::uint64_t obs_probes = 0;      // unique targets probed
   std::uint64_t obs_replied = 0;     // probes answered within the timeout
   std::uint64_t obs_unanswered = 0;  // probes never answered in time
-  std::uint64_t hot_grows = 0;       // capacity growths inside the loop
+  std::uint64_t hot_grows = 0;       // capacity growths in either phase
 };
 
 /// Everything the engine keeps alive between rounds. One instance per
@@ -112,11 +103,8 @@ struct EngineWorkspace {
   std::vector<std::uint32_t> pos;     // entry index -> order position
   std::vector<std::uint64_t> offset;  // extra-targets mode only
   std::vector<ShardWs> shards;
-  std::vector<std::uint32_t> addr_by_block;  // block off -> probed address
-  std::vector<std::uint32_t> sorted_addresses;  // extra-targets mode only
-  std::vector<CleanRecord> merged;
+  std::vector<std::uint32_t> entry_by_block;  // block off -> entry+1, 0 = none
   std::vector<float> kept_rtts;
-  std::vector<std::uint64_t> site_bytes;
 };
 
 /// Registry handles the engine reports into, resolved once per process.
@@ -230,17 +218,17 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
 
   // Contiguous, equal-sized ranges of hitlist entries, one per shard.
   // Entries follow the topology's ascending block run, so a shard's
-  // resolver, geo, responsiveness and addr_by_block rows are contiguous
+  // resolver, geo, responsiveness and entry_by_block rows are contiguous
   // and private to it. Its probe indices are scattered over the whole
-  // round, which the merge's total order makes irrelevant (CleanRecord).
+  // round, which the cleaner's total order makes irrelevant (Reply).
   const unsigned shard_count = static_cast<unsigned>(std::min<std::uint64_t>(
       util::resolve_threads(spec.threads),
       std::max<std::uint64_t>(entry_count, 1)));
 
-  // Block span of the hitlist: backs the direct-mapped probed-address
-  // table (one slot per /24) and the result's dense catchment map, whose
-  // site array doubles as the first-reply-wins set. Every probed address
-  // lies inside its entry's block, so the span covers all of them.
+  // Block span of the hitlist: backs the direct-mapped entry table (one
+  // slot per /24), the owner partition, and the result's dense catchment
+  // map. Every probed address lies inside its entry's block, so the span
+  // covers all of them.
   std::uint32_t block_lo = 0;
   std::size_t block_span = 0;
   if (entry_count > 0) {
@@ -252,14 +240,11 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
     block_lo = lo;
     block_span = static_cast<std::size_t>(hi - lo) + 1;
   }
-  if (!multi_target) {
-    // Filled race-free inside the shard loop: each hitlist entry (and
-    // thus each block slot) belongs to exactly one shard. The zero
-    // sentinel is unambiguous — probed addresses have a nonzero host
-    // byte, so their value is never 0.
-    util::arena_reserve(ws.addr_by_block, block_span, *arena);
-    ws.addr_by_block.assign(block_span, 0);
-  }
+  // Filled race-free inside the shard loop: each hitlist entry (and thus
+  // each block slot) belongs to exactly one shard. Read only after the
+  // workers join.
+  util::arena_reserve(ws.entry_by_block, block_span, *arena);
+  ws.entry_by_block.assign(block_span, 0);
 
   // --- probe phase (sharded by block range) -------------------------------
   const util::SimTime gap =
@@ -268,7 +253,7 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
   // configured, so a plain round stays byte-identical to the pre-fault
   // engine. Retry timing is a pure function of the probe's global index
   // and attempt number (see ProbeConfig::max_retries), which keeps the
-  // sharded merge deterministic.
+  // sharded round deterministic.
   const sim::FaultInjector* injector =
       (spec.faults != nullptr && spec.faults->plan().enabled()) ? spec.faults
                                                                 : nullptr;
@@ -278,6 +263,8 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
       util::SimTime::from_seconds(config.probe_timeout_ms / 1000.0);
   const util::SimTime window =
       util::SimTime{gap.usec * static_cast<std::int64_t>(total_probes)};
+  const util::SimTime cutoff =
+      spec.start + util::SimTime::from_minutes(config.late_cutoff_minutes);
 
   util::arena_reserve(ws.shards, shard_count, *arena);
   if (ws.shards.size() < shard_count) ws.shards.resize(shard_count);
@@ -292,42 +279,30 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
   obs::Span probe_span{&em.probe_phase_ms};
   util::run_shards(shard_count, [&](unsigned s) {
     ShardWs& shard = ws.shards[s];
-    // Capacity growths inside this worker are tracked against the
-    // steady-state promise (vp_engine_hot_allocs_total): round 2+ of an
-    // arena-backed campaign must report zero.
-    const auto grow = [&shard](auto& vec, std::size_t n) {
-      if (vec.capacity() < n) {
-        vec.reserve(n);
-        ++shard.hot_grows;
-      }
-    };
     shard.faults = {};
+    shard.cleaning = {};
     shard.obs_probes = shard.obs_replied = shard.obs_unanswered = 0;
-    if (shard.replies.size() != site_count) {
-      shard.replies.resize(site_count);
+    if (shard.sites.size() != site_count || shard.owned.size() != shard_count) {
+      shard.sites.resize(site_count);
+      shard.owned.resize(shard_count);
+      shard.start_caps.resize(shard_count);
       ++shard.hot_grows;
     }
-    std::size_t reply_caps = 0;
-    for (ReplyBuffer& buf : shard.replies) {
-      buf.clear();
-      reply_caps += buf.capacity();
+    std::fill(shard.sites.begin(), shard.sites.end(), SiteTally{});
+    for (unsigned o = 0; o < shard_count; ++o) {
+      shard.owned[o].clear();
+      shard.start_caps[o] = shard.owned[o].capacity();
     }
     const std::size_t begin = entry_count * s / shard_count;
     const std::size_t end = entry_count * (s + 1) / shard_count;
-    shard.probed_addresses.clear();
-    if (multi_target) {
-      // The per-entry target bound, not this round's count: the shard's
-      // entries are the same every round, so warm rounds never regrow.
-      grow(shard.probed_addresses,
-           (end - begin) *
-               (1 + static_cast<std::size_t>(config.extra_targets_per_block)));
-    }
 
     std::uint64_t since_report = 0;
     sim::DataplaneTally dataplane;
     sim::ResolveTally resolve_tally;
     for (std::size_t e = begin; e < end; ++e) {
       const hitlist::Entry& entry = hitlist_->entries()[e];
+      ws.entry_by_block[entry.block.index() - block_lo] =
+          static_cast<std::uint32_t>(e + 1);
       const auto targets =
           hitlist_->targets_into(entry, config.extra_targets_per_block,
                                  target_seed, shard.targets_scratch);
@@ -335,10 +310,6 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
           multi_target ? ws.offset[ws.pos[e]] : ws.pos[e];
       for (std::size_t k = 0; k < targets.size(); ++k) {
         const net::Ipv4Address target = targets[k];
-        if (multi_target)
-          shard.probed_addresses.push_back(target.value());
-        else
-          ws.addr_by_block[entry.block.index() - block_lo] = target.value();
         util::SimTime attempt_tx =
             spec.start + util::SimTime{gap.usec * static_cast<std::int64_t>(
                                                       probe_index)};
@@ -374,22 +345,41 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
               shard.faults.replies_generated += shard.deliveries.size();
             }
             if (!shard.deliveries.empty()) {
-              // All deliveries of one attempt share the same bytes:
-              // parse once, then append a row to each receiving site's
-              // collector buffer.
+              // All deliveries of one attempt share the same bytes: parse
+              // once, then let each receiving site's collector judge what
+              // the record alone decides (wrong id, late, a source outside
+              // the span) and send the rest to its block's owner.
               const auto parsed = net::parse_reply_view(shard.reply_bytes);
+              const std::uint32_t off =
+                  parsed ? net::Block24::containing(parsed->ip.source).index() -
+                               block_lo  // wraps below block_lo: >= span
+                         : 0;
               for (const sim::DeliveryView& delivery : shard.deliveries) {
                 if (delivery.arrival <= attempt_tx + timeout)
                   answered_in_time = true;
-                ReplyBuffer& buf =
-                    shard.replies[static_cast<std::size_t>(delivery.site)];
-                buf.bytes_received += shard.reply_bytes.size();
+                SiteTally& tally =
+                    shard.sites[static_cast<std::size_t>(delivery.site)];
+                tally.bytes += shard.reply_bytes.size();
                 if (!parsed) {
-                  ++buf.malformed;
+                  ++tally.malformed;
                 } else {
-                  buf.push(delivery.arrival.usec, parsed->probe.tx_time_usec,
-                           probe_index, parsed->ip.source.value(),
-                           parsed->probe.measurement_id, seq);
+                  ++tally.parsed;
+                  if (parsed->probe.measurement_id != config.measurement_id) {
+                    ++shard.cleaning.wrong_id;
+                  } else if (delivery.arrival.usec > cutoff.usec) {
+                    ++shard.cleaning.late;
+                  } else if (off >= block_span) {
+                    ++shard.cleaning.unsolicited;
+                  } else {
+                    shard.owned[off * std::uint64_t{shard_count} / block_span]
+                        .push_back(Reply{
+                            off, parsed->ip.source.value(),
+                            delivery.arrival.usec, probe_index,
+                            static_cast<float>(delivery.arrival.usec -
+                                               parsed->probe.tx_time_usec) /
+                                1000.0f,
+                            seq, delivery.site});
+                  }
                 }
                 ++seq;
               }
@@ -426,10 +416,8 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
     }
     sim::InternetSim::flush(dataplane);
     sim::FlipModel::flush(resolve_tally);
-    std::size_t reply_caps_after = 0;
-    for (const ReplyBuffer& buf : shard.replies)
-      reply_caps_after += buf.capacity();
-    if (reply_caps_after != reply_caps) ++shard.hot_grows;
+    for (unsigned o = 0; o < shard_count; ++o)
+      if (shard.owned[o].capacity() != shard.start_caps[o]) ++shard.hot_grows;
   });
   const double probe_phase_ms = probe_span.stop();
   if (observer != nullptr)
@@ -438,21 +426,15 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
   result.probing_duration = window;
   result.map.measurement_id = config.measurement_id;
 
-  // --- merge --------------------------------------------------------------
+  // --- collector sums -----------------------------------------------------
   // Fault counters and tallies are sums, so shard order cannot affect
   // them. Every hitlist entry (= one block) was probed by exactly one
   // shard, so blocks_probed is just the entry count.
   // NB: ws.shards may be longer than shard_count when a cross-round arena
   // served a wider round earlier — only the first shard_count entries
-  // belong to THIS round, so every merge loop below indexes explicitly.
-  std::uint64_t hot_grows = 0;
-  for (unsigned s = 0; s < shard_count; ++s) {
+  // belong to THIS round, so every loop below indexes explicitly.
+  for (unsigned s = 0; s < shard_count; ++s)
     result.faults += ws.shards[s].faults;
-    hot_grows += ws.shards[s].hot_grows;
-    ws.shards[s].hot_grows = 0;
-  }
-  em.hot_allocs.add(hot_grows);
-  arena->note_grow(hot_grows);
   result.map.probes_sent = total_probes + result.faults.retries;
   result.map.blocks_probed = entry_count;
   if (observer != nullptr) observer->on_fault_stats(spec, result.faults);
@@ -483,112 +465,116 @@ RoundResult Verfploeter::run(const bgp::RoutingTable& routes,
     if (robust) sim::record_fault_metrics(result.faults, reg);
   }
 
-  // Gather every shard's SoA rows into one cleaning array. Gather order
-  // is irrelevant: the sort below is a strict total order (see
-  // CleanRecord), so any processing schedule lands on the same sequence.
   result.raw_replies_per_site.assign(site_count, 0);
   CleaningStats& stats = result.map.cleaning;
-  std::size_t total_records = 0;
-  for (unsigned s = 0; s < shard_count; ++s)
-    for (const ReplyBuffer& buf : ws.shards[s].replies)
-      total_records += buf.size();
-  // An eighth of headroom so round-to-round reply variance under a
-  // cross-round arena doesn't force a yearly regrow.
-  util::arena_reserve(ws.merged, total_records + total_records / 8, *arena);
-  ws.merged.clear();
-  util::arena_reserve(ws.site_bytes, site_count, *arena);
-  ws.site_bytes.assign(site_count, 0);
   for (unsigned s = 0; s < shard_count; ++s) {
-    const ShardWs& shard = ws.shards[s];
-    for (std::size_t site = 0; site < shard.replies.size(); ++site) {
-      const ReplyBuffer& buf = shard.replies[site];
-      stats.malformed += buf.malformed;
-      ws.site_bytes[site] += buf.bytes_received;
-      result.raw_replies_per_site[site] += buf.size();
-      for (std::size_t i = 0; i < buf.size(); ++i) {
-        CleanRecord record;
-        record.arrival_usec = buf.arrival_usec[i];
-        record.tx_usec = buf.tx_usec[i];
-        record.key = buf.key[i];
-        record.source = buf.source[i];
-        record.measurement_id = buf.measurement_id[i];
-        record.seq = buf.seq[i];
-        record.site = static_cast<anycast::SiteId>(site);
-        ws.merged.push_back(record);
-      }
+    for (std::size_t site = 0; site < site_count; ++site) {
+      const SiteTally& tally = ws.shards[s].sites[site];
+      result.raw_replies_per_site[site] += tally.parsed;
+      stats.malformed += tally.malformed;
+      stats.raw_replies += tally.parsed + tally.malformed;
     }
   }
-  stats.raw_replies = ws.merged.size() + stats.malformed;
   if (obs::metrics().enabled()) {
     auto& reg = obs::metrics();
     for (std::size_t site = 0; site < site_count; ++site) {
+      std::uint64_t bytes = 0;
+      for (unsigned s = 0; s < shard_count; ++s)
+        bytes += ws.shards[s].sites[site].bytes;
       const std::string label =
           "{site=\"" + deployment.sites[site].code + "\"}";
       reg.counter("vp_collector_replies_total" + label)
           .add(result.raw_replies_per_site[site]);
-      reg.counter("vp_collector_bytes_total" + label).add(ws.site_bytes[site]);
+      reg.counter("vp_collector_bytes_total" + label).add(bytes);
     }
     em.malformed.add(stats.malformed);
   }
   if (observer != nullptr)
     observer->on_replies_collected(spec, result.raw_replies_per_site);
 
-  // --- central cleaning (paper §4) ----------------------------------------
-  // First reply wins over the total order (arrival, site, key, seq), so
-  // the cleaning pass below sees the same sequence for any shard split.
-  std::sort(ws.merged.begin(), ws.merged.end());
-  const util::SimTime cutoff =
-      spec.start + util::SimTime::from_minutes(config.late_cutoff_minutes);
-  util::arena_reserve(ws.kept_rtts, entry_count, *arena);
-  ws.kept_rtts.clear();
-  if (multi_target) {
-    // Fallback probed-address index: concatenate the shards' (disjoint)
-    // address lists and binary-search. The direct map can't be used — a
-    // block probes several addresses.
-    util::arena_reserve(ws.sorted_addresses, total_probes, *arena);
-    ws.sorted_addresses.clear();
+  // --- central cleaning (paper §4), partitioned by block owner ------------
+  // Owner o holds the blocks with off * P / span == o, so owners are
+  // contiguous block ranges in ascending order. Each owner gathers its
+  // bucket from every shard, sorts it by the total order (Reply) and
+  // keeps the first solicited reply of each block. Solicited means the
+  // source is one of the block's probed targets — a pure function of the
+  // block's entry, the same check for one target or several.
+  util::run_shards(shard_count, [&](unsigned o) {
+    ShardWs& owner = ws.shards[o];
+    std::vector<Reply>& mine = owner.owned[o];
+    std::size_t total = 0;
     for (unsigned s = 0; s < shard_count; ++s)
-      ws.sorted_addresses.insert(ws.sorted_addresses.end(),
-                                 ws.shards[s].probed_addresses.begin(),
-                                 ws.shards[s].probed_addresses.end());
-    std::sort(ws.sorted_addresses.begin(), ws.sorted_addresses.end());
-  }
-  // The result outlives the round, so its map owns plain vectors rather
-  // than arena slots; pre-sizing it to the span means no write regrows.
+      total += ws.shards[s].owned[o].size();
+    // Every bucket is sized for the next round here, outside the probe
+    // loop, so a warm round's probe phase does not regrow it.
+    size_for_next_round(mine, total, mine.capacity() != owner.start_caps[o],
+                        owner.hot_grows);
+    for (unsigned s = 0; s < shard_count; ++s) {
+      if (s == o) continue;
+      std::vector<Reply>& bucket = ws.shards[s].owned[o];
+      const bool grew = bucket.capacity() != ws.shards[s].start_caps[o];
+      mine.insert(mine.end(), bucket.begin(), bucket.end());
+      const std::size_t n = bucket.size();
+      bucket.clear();
+      size_for_next_round(bucket, n, grew, owner.hot_grows);
+    }
+    std::sort(mine.begin(), mine.end());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < mine.size();) {
+      const std::uint32_t off = mine[i].off;
+      const std::uint32_t entry = ws.entry_by_block[off];
+      std::span<const net::Ipv4Address> targets;
+      if (entry != 0) {
+        targets = hitlist_->targets_into(hitlist_->entries()[entry - 1],
+                                         config.extra_targets_per_block,
+                                         target_seed, owner.targets_scratch);
+      }
+      bool mapped = false;
+      for (; i < mine.size() && mine[i].off == off; ++i) {
+        if (std::find(targets.begin(), targets.end(),
+                      net::Ipv4Address{mine[i].source}) == targets.end()) {
+          ++owner.cleaning.unsolicited;
+        } else if (mapped) {
+          ++owner.cleaning.duplicates;
+        } else {
+          mapped = true;
+          mine[kept++] = mine[i];
+        }
+      }
+    }
+    mine.resize(kept);
+    owner.cleaning.kept = kept;
+  });
+
+  // Map writes and RTTs in owner order, which is block order: the same
+  // sequence for any thread count. The result outlives the round, so its
+  // map owns plain vectors rather than arena slots; pre-sizing it to the
+  // span means no write regrows.
   if (block_span > 0) {
     result.map.cover(net::Block24{block_lo},
                      net::Block24{block_lo + static_cast<std::uint32_t>(
                                                  block_span - 1)});
   }
-  for (const CleanRecord& record : ws.merged) {
-    if (record.measurement_id != config.measurement_id) {
-      ++stats.wrong_id;
-      continue;
+  util::arena_reserve(ws.kept_rtts, entry_count, *arena);
+  ws.kept_rtts.clear();
+  std::uint64_t hot_grows = 0;
+  for (unsigned o = 0; o < shard_count; ++o) {
+    ShardWs& owner = ws.shards[o];
+    for (const Reply& reply : owner.owned[o]) {
+      result.map.set(net::Block24{block_lo + reply.off}, reply.site,
+                     reply.rtt_ms);
+      ws.kept_rtts.push_back(reply.rtt_ms);
     }
-    if (record.arrival_usec > cutoff.usec) {
-      ++stats.late;
-      continue;
-    }
-    const net::Block24 block =
-        net::Block24::containing(net::Ipv4Address{record.source});
-    const std::size_t off = static_cast<std::size_t>(
-        block.index() - block_lo);  // wraps below block_lo: off >= span
-    if (multi_target
-            ? !std::binary_search(ws.sorted_addresses.begin(),
-                                  ws.sorted_addresses.end(), record.source)
-            : off >= block_span || ws.addr_by_block[off] != record.source) {
-      ++stats.unsolicited;
-      continue;
-    }
-    const float rtt =
-        static_cast<float>(record.arrival_usec - record.tx_usec) / 1000.0f;
-    if (!result.map.set(block, record.site, rtt)) {
-      ++stats.duplicates;
-      continue;
-    }
-    ws.kept_rtts.push_back(rtt);
-    ++stats.kept;
+    stats.wrong_id += owner.cleaning.wrong_id;
+    stats.late += owner.cleaning.late;
+    stats.unsolicited += owner.cleaning.unsolicited;
+    stats.duplicates += owner.cleaning.duplicates;
+    stats.kept += owner.cleaning.kept;
+    hot_grows += owner.hot_grows;
+    owner.hot_grows = 0;
   }
+  em.hot_allocs.add(hot_grows);
+  arena->note_grow(hot_grows);
   // One publish for the round's RTTs instead of an atomic round-trip per
   // kept reply (same buckets, count, sum, min and max).
   em.rtt_ms.observe_all(ws.kept_rtts);

@@ -7,9 +7,9 @@
 //   2. the (simulated) Internet routes each reply to the anycast site
 //      serving the responder's catchment;
 //   3. each site's collector parses and records the replies it receives;
-//   4. the central cleaner merges records, removing duplicates, replies
-//      from never-probed addresses, stale-round replies, and late replies
-//      (§4), and emits the catchment map: /24 block -> site.
+//   4. the central cleaner removes duplicates, replies from never-probed
+//      addresses, stale-round replies, and late replies (§4), and emits
+//      the catchment map: /24 block -> site.
 //
 // Crucially, this pipeline never consults the routing table: catchments
 // are *discovered* from which collector received each reply, exactly as
@@ -30,17 +30,24 @@
 //   2. splits the HITLIST, not the order, into N contiguous entry ranges
 //      of equal size; each worker walks its range in ascending entry
 //      (= block) order, so the resolver/geo/responsiveness rows and the
-//      probed-address slots it touches are contiguous and its own. Each
+//      entry-table slots it touches are contiguous and its own. Each
 //      probe keeps its global index, and tx times and sequence numbers
 //      are pure functions of that index, so the walk order cannot change
-//      a single packet. Replies accumulate in per-(shard, site)
-//      structure-of-arrays buffers tagged with (global probe index,
-//      per-probe delivery seq);
-//   3. merges: all shard rows are gathered and sorted by the strict total
-//      order (arrival, site, probe index, seq) — the order a serial walk
-//      that appended each site's replies in probe order, then stable-
-//      sorted by arrival, would produce. The first-reply-wins cleaning
-//      pass (paper §4) then runs over that sequence.
+//      a single packet. Each site's collector counts what it received,
+//      drops what the reply alone condemns (wrong measurement id, late,
+//      source outside the hitlist's blocks), and files every other reply
+//      as one 32-byte record (block, source, arrival, global probe
+//      index, RTT, per-probe delivery seq, site) in the bucket of the
+//      worker that owns the source's block range;
+//   3. cleans by block owner: after the barrier, owner o gathers its
+//      bucket from every shard, sorts it by the strict total order
+//      (block, arrival, site, probe index, seq) — within one block the
+//      order a serial walk that appended each site's replies in probe
+//      order, then stable-sorted by arrival, would produce — and keeps
+//      the first reply per block whose source was one of the block's
+//      probed targets (paper §4: first reply wins; the others are
+//      unsolicited or duplicates). The kept replies reach the map and
+//      the RTT histogram in owner order, which is block order.
 //
 // Equal-arrival ties therefore resolve identically for any thread count,
 // and the CatchmentMap, CleaningStats, and per-block RTTs match the

@@ -1,8 +1,8 @@
 // Cross-round scratch arena for the probe hot path.
 //
-// A measurement round needs a pile of working storage — per-shard SoA
-// reply buffers, the probe order and its inverse, packet scratch, the
-// merged cleaning array — whose *shapes* repeat exactly from round to
+// A measurement round needs a pile of working storage — per-shard reply
+// buckets, the probe order and its inverse, packet scratch, the
+// block-to-entry table — whose *shapes* repeat exactly from round to
 // round (same hitlist, same thread count). Allocating them per round is
 // pure waste: at 6.4M blocks the allocator traffic and the cold pages it
 // hands back are a measurable slice of the probe phase, and a continuous
@@ -19,10 +19,11 @@
 //
 // Threading: an arena may be used by AT MOST ONE round at a time. The
 // engine's workers never touch the arena directly — the coordinator
-// checks out the workspace once, workers get disjoint slices. Campaign
-// keeps a pool (one arena per in-flight round); service::Daemon keeps a
-// shared_ptr it drops if the watchdog abandons a round, so an abandoned
-// worker can never race the next attempt's arena.
+// checks out the workspace once, workers get disjoint slices (in the
+// owner phase, owner o drains every shard's bucket o and nothing else).
+// Campaign keeps a pool (one arena per in-flight round); service::Daemon
+// keeps a shared_ptr it drops if the watchdog abandons a round, so an
+// abandoned worker can never race the next attempt's arena.
 #pragma once
 
 #include <cstdint>

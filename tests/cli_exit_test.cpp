@@ -1,9 +1,10 @@
-// Exit-code contract for vpctl's output artifacts: a command must never
-// exit 0 after failing to write a file the user asked for. Writes go
-// through util::atomic_file, so an unwritable path surfaces at flush
-// time — this forks the real binary and checks the distinct write-failed
-// exit code (6) for --out and --metrics-out, and that successful runs
-// actually leave the artifact behind.
+// Exit-code contract for the CLIs. A command must never exit 0 after
+// failing to write a file the user asked for: writes go through
+// util::atomic_file, so an unwritable path surfaces at flush time — this
+// forks the real binary and checks the distinct write-failed exit code
+// (6) for --out and --metrics-out, and that successful runs actually
+// leave the artifact behind. A malformed numeric flag exits 2 in both
+// vpctl and vpd.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -36,14 +37,21 @@ std::string test_dir() {
   return dir;
 }
 
-/// Runs vpctl with the given arguments, optionally with an environment
+/// Runs `binary` with the given arguments, optionally with an environment
 /// prefix (e.g. the journal fault hooks); returns the exit code.
-int run_vpctl(const std::string& args, const std::string& env = "") {
+int run_binary(const char* binary, const std::string& args,
+               const std::string& env = "") {
   const std::string cmd =
-      env + std::string{VPCTL_PATH} + " " + args + " > /dev/null 2>&1";
+      env + std::string{binary} + " " + args + " > /dev/null 2>&1";
   const int status = std::system(cmd.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
+
+int run_vpctl(const std::string& args, const std::string& env = "") {
+  return run_binary(VPCTL_PATH, args, env);
+}
+
+int run_vpd(const std::string& args) { return run_binary(VPD_PATH, args); }
 
 bool file_exists(const std::string& path) {
   return std::ifstream{path}.good();
@@ -101,6 +109,27 @@ TEST(CliExit, MalformedIntegerFlagsExit2) {
   // read as 0 (= every hardware thread).
   EXPECT_EQ(run_vpctl("campaign --scale 0.03 --rounds -1"), kUsageExit);
   EXPECT_EQ(run_vpctl(kScan + " --threads abc"), kUsageExit);
+}
+
+TEST(CliExit, MalformedFloatFlagsExit2) {
+  // Floating-point flags are as strict: the whole token must be a finite
+  // number in range, so "abc" is not scale 0 and a NaN timeout never
+  // reaches a NaN-to-integer conversion. A finite in-range value runs.
+  EXPECT_EQ(run_vpctl("scan --scale abc"), kUsageExit);
+  EXPECT_EQ(run_vpctl(kScan + " --timeout-ms nan --retries 2"), kUsageExit);
+  EXPECT_EQ(run_vpctl(kScan + " --timeout-ms 500 --retries 2"), 0);
+}
+
+TEST(CliExit, VpdMalformedNumericFlagsExit2) {
+  // vpd shares vpctl's parser, so a port above 65535 or a negative
+  // thread count is refused (not wrapped) before the Internet is built;
+  // a valid batch run still exits 0.
+  EXPECT_EQ(run_vpd("--scale 0.03 --rounds 1 --listen 70000 "
+                    "--exit-after-rounds"),
+            kUsageExit);
+  EXPECT_EQ(run_vpd("--scale 0.03 --rounds 1 --threads -1"), kUsageExit);
+  EXPECT_EQ(run_vpd("--scale abc --rounds 1"), kUsageExit);
+  EXPECT_EQ(run_vpd("--scale 0.03 --rounds 1 --exit-after-rounds"), 0);
 }
 
 TEST(CliExit, PrependDepthMustBeAWholeIntegerInRange) {
@@ -185,10 +214,14 @@ TEST(CliExit, SigintEarlyInCampaignExits7AndLeavesResumablePrefix) {
   // opened it; the signal handler went in before the scenario build).
   // Whatever prefix of rounds got in, the exit code is the distinct
   // interrupted one and the journal resumes into a complete campaign.
+  // The 100-round budget (about 2 ms a round at this scale) keeps the
+  // campaign running for ~200 ms after the journal appears, far beyond
+  // the 5 ms poll even on a loaded machine, so the signal always lands
+  // mid-campaign.
   const std::string journal = test_dir() + "/sigint_early.bin";
   const std::string csv = test_dir() + "/sigint_early.csv";
   const std::vector<std::string> args = {
-      "campaign", "--scale", "0.03", "--rounds", "3", "--seed",    "5",
+      "campaign", "--scale", "0.03", "--rounds", "100", "--seed",  "5",
       "--journal", journal,  "--out", csv};
   EXPECT_EQ(run_vpctl_signalled(args, SIGINT,
                                 [&journal] { return file_exists(journal); }),

@@ -66,6 +66,14 @@ void expect_identical(const RoundResult& a, const RoundResult& b,
   EXPECT_EQ(a.probing_duration, b.probing_duration) << label;
   for (const auto& [block, site] : a.map.entries())
     EXPECT_EQ(a.map.rtt_of(block), b.map.rtt_of(block)) << label;
+  // Accounting identity on each side: every reply a collector recorded
+  // gets exactly one verdict, and every kept reply maps one block.
+  for (const RoundResult* r : {&a, &b}) {
+    EXPECT_EQ(r->map.cleaning.raw_replies,
+              r->map.cleaning.kept + r->map.cleaning.dropped())
+        << label;
+    EXPECT_EQ(r->map.mapped_blocks(), r->map.cleaning.kept) << label;
+  }
 }
 
 TEST_F(ProbeEngineTest, ParallelRoundIsBitIdenticalToSerial) {
@@ -226,8 +234,8 @@ TEST_F(ProbeEngineTest, SteadyStateRoundsAreAllocationFreeInTheShardLoop) {
     const obs::Counter* reuses_;
   };
 
-  // Clean, and with extra targets per block, whose per-shard probed-
-  // address list is sized from the shard's entry range.
+  // Clean, and with extra targets per block (more replies per block, so
+  // larger reply buckets).
   for (const int extra : {0, 2}) {
     const std::string journal_path =
         "/tmp/vp_probe_engine_alloc_" +
